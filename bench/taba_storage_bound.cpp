@@ -7,6 +7,7 @@
 // Reported per process: mean and peak stored checkpoints, against the paper
 // bounds (n steady, n+1 transient).
 #include <iostream>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "harness/system.hpp"

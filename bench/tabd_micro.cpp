@@ -27,6 +27,9 @@
 #include "metrics/durability_lag.hpp"
 #include "metrics/storage_probe.hpp"
 #include "recovery/recovery_manager.hpp"
+#include "sim/network.hpp"
+#include "sim/simulator.hpp"
+#include "util/rng.hpp"
 #include "workload/workload.hpp"
 
 using namespace rdtgc;
@@ -132,6 +135,35 @@ void BM_ReceivePath(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ReceivePath)->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+
+// The simulator core alone, no nodes: one steady-state send (a recycled
+// shell with a same-size n-wide DV copy) plus one Simulator::step delivering
+// to a no-op sink, with n messages kept in flight.  This is the per-delivery
+// cost the event queue and in-flight slab add under every simulated run.
+void BM_SimDelivery(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Simulator simulator;
+  sim::Network network(simulator, util::Rng(3), {});
+  for (std::size_t p = 0; p < n; ++p)
+    network.connect(static_cast<ProcessId>(p), [](const sim::Message&) {});
+  const causality::DependencyVector dv(n);
+  std::size_t next = 0;
+  const auto send_one = [&] {
+    sim::Message m = network.make_message();
+    m.src = static_cast<ProcessId>(next);
+    next = (next + 1) % n;
+    m.dst = static_cast<ProcessId>(next);
+    m.dv = dv;
+    return network.send(std::move(m));
+  };
+  for (std::size_t i = 0; i < n; ++i) send_one();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(send_one());
+    benchmark::DoNotOptimize(simulator.step());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimDelivery)->Arg(4)->Arg(64);
 
 // Worst-case receive at the GC layer — every delivery raises all n-1 peer
 // entries right after a local checkpoint, so every UC entry rebinds and the

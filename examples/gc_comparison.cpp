@@ -14,6 +14,7 @@
 // spreads them across every core and the figures below are cross-seed
 // means (identical for any worker count).
 #include <iostream>
+#include <utility>
 
 #include "gc/synchronous_gc.hpp"
 #include "harness/sweep.hpp"

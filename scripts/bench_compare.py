@@ -46,7 +46,7 @@ TRACKED = re.compile(
     r"|^BM_Rollback|^BM_Sharded|^BM_Backend|^BM_FleetRunner"
     r"|^BM_NodeAttach|^BM_ChurnRestart"
     r"|^BM_GroupCommit|^BM_BackgroundChurn|^BM_DurabilityLag"
-    r"|^BM_Protocol")
+    r"|^BM_Protocol|^BM_SimDelivery")
 
 
 def load(path):

@@ -8,7 +8,10 @@
 namespace rdtgc::sim {
 
 Network::Network(Simulator& simulator, util::Rng rng, Config config)
-    : simulator_(simulator), rng_(rng), config_(config) {
+    : simulator_(simulator),
+      rng_(rng),
+      config_(config),
+      delay_span_(config.max_delay - config.min_delay + 1) {
   RDTGC_EXPECTS(config_.min_delay <= config_.max_delay);
   RDTGC_EXPECTS(config_.min_delay >= 1);  // zero-delay would break causal order
   RDTGC_EXPECTS(config_.loss_probability >= 0.0 &&
@@ -22,6 +25,19 @@ void Network::connect(ProcessId p, DeliveryFn sink) {
     sinks_.resize(static_cast<std::size_t>(p) + 1);
   RDTGC_EXPECTS(sinks_[static_cast<std::size_t>(p)] == nullptr);
   sinks_[static_cast<std::size_t>(p)] = std::move(sink);
+  if (config_.fifo) grow_channels(sinks_.size());
+}
+
+void Network::grow_channels(std::size_t width) {
+  if (width <= channel_width_) return;
+  std::vector<SimTime> grown(width * width, 0);
+  for (std::size_t src = 0; src < channel_width_; ++src)
+    std::copy_n(last_delivery_.begin() +
+                    static_cast<std::ptrdiff_t>(src * channel_width_),
+                channel_width_,
+                grown.begin() + static_cast<std::ptrdiff_t>(src * width));
+  last_delivery_ = std::move(grown);
+  channel_width_ = width;
 }
 
 void Network::disconnect(ProcessId p) {
@@ -30,8 +46,9 @@ void Network::disconnect(ProcessId p) {
   sinks_[static_cast<std::size_t>(p)] = nullptr;
   if (static_cast<std::size_t>(p) >= process_epoch_.size())
     process_epoch_.resize(static_cast<std::size_t>(p) + 1, 0);
-  // Scheduled deliveries touching p self-discard when they surface (their
-  // captured epoch went stale); parked and held messages are purged here.
+  // Scheduled deliveries touching p are discarded when they surface (their
+  // slot's recorded epoch went stale); parked and held messages are purged
+  // here.
   ++process_epoch_[static_cast<std::size_t>(p)];
   const auto touches_p = [p](const Message& m) {
     return m.src == p || m.dst == p;
@@ -84,54 +101,73 @@ MessageId Network::send(Message m) {
     ++in_flight_;
     return held_.back().id;
   }
-  const SimTime span = config_.max_delay - config_.min_delay + 1;
-  SimTime when = simulator_.now() + config_.min_delay +
-                 static_cast<SimTime>(rng_.uniform(span));
-  if (config_.fifo) {
-    auto& last = last_delivery_[{m.src, m.dst}];
-    when = std::max(when, last);
-    last = when;
-  }
   const MessageId id = m.id;
-  schedule_delivery(std::move(m), when);
+  schedule(std::move(m));
   return id;
 }
 
-void Network::schedule_delivery(Message m, SimTime when) {
+void Network::schedule(Message m) {
+  SimTime when = simulator_.now() + config_.min_delay +
+                 static_cast<SimTime>(rng_.uniform(delay_span_));
+  if (config_.fifo) {
+    RDTGC_EXPECTS(m.src >= 0);
+    const auto src = static_cast<std::size_t>(m.src);
+    grow_channels(src + 1);
+    SimTime& last =
+        last_delivery_[src * channel_width_ + static_cast<std::size_t>(m.dst)];
+    when = std::max(when, last);
+    last = when;
+  }
   ++in_flight_;
-  const std::uint64_t epoch = epoch_;
-  const std::uint64_t src_epoch = process_epoch(m.src);
-  const std::uint64_t dst_epoch = process_epoch(m.dst);
-  simulator_.at(when, [this, epoch, src_epoch, dst_epoch,
-                       m = std::move(m)]() mutable {
-    if (epoch != epoch_) {
-      // drop_in_flight() already reset the counter for this epoch.
-      ++stats_.dropped_in_flight;
-      return;
-    }
-    if (src_epoch != process_epoch(m.src) ||
-        dst_epoch != process_epoch(m.dst)) {
-      // An endpoint's process died (disconnect) after this delivery was
-      // scheduled: the message was in flight at the death and is lost.
-      // Unlike the global-epoch path the counter was NOT reset, so this
-      // message still counts against it.
-      RDTGC_ASSERT(in_flight_ > 0);
-      --in_flight_;
-      ++stats_.dropped_in_flight;
-      return;
-    }
-    RDTGC_ASSERT(in_flight_ > 0);
-    --in_flight_;
-    if (paused_) {
-      // Delivery surfaced while frozen: requeue for resume().
-      held_.push_back(std::move(m));
-      ++in_flight_;
-      return;
-    }
-    ++stats_.delivered;
-    sinks_[static_cast<std::size_t>(m.dst)](m);
-    recycled_ = std::move(m);  // hand the DV buffer back to the next sender
-  });
+  std::uint64_t slot;
+  if (free_slots_.empty()) {
+    slot = slots_.size();
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  InFlight& f = slots_[slot];
+  f.epoch = epoch_;
+  f.src_epoch = process_epoch(m.src);
+  f.dst_epoch = process_epoch(m.dst);
+  f.message = std::move(m);
+  simulator_.at(when, *this, slot);
+}
+
+void Network::fire(std::uint64_t slot) {
+  // Move the message out and release the slot before anything else: the
+  // sink may send, which can reuse this slot or grow (reallocate) the slab.
+  InFlight& f = slots_[slot];
+  Message m = std::move(f.message);
+  const bool stale_global = f.epoch != epoch_;
+  const bool stale_endpoint = f.src_epoch != process_epoch(m.src) ||
+                              f.dst_epoch != process_epoch(m.dst);
+  free_slots_.push_back(slot);
+  if (stale_global) {
+    // drop_in_flight() already reset the counter for this epoch.
+    ++stats_.dropped_in_flight;
+    return;
+  }
+  RDTGC_ASSERT(in_flight_ > 0);
+  --in_flight_;
+  if (stale_endpoint) {
+    // An endpoint's process died (disconnect) after this delivery was
+    // scheduled: the message was in flight at the death and is lost.
+    // Unlike the global-epoch path the counter was NOT reset, so this
+    // message still counts against it.
+    ++stats_.dropped_in_flight;
+    return;
+  }
+  if (paused_) {
+    // Delivery surfaced while frozen: requeue for resume().
+    held_.push_back(std::move(m));
+    ++in_flight_;
+    return;
+  }
+  ++stats_.delivered;
+  sinks_[static_cast<std::size_t>(m.dst)](m);
+  recycled_ = std::move(m);  // hand the DV buffer back to the next sender
 }
 
 void Network::drop_in_flight() {
@@ -172,17 +208,7 @@ void Network::resume() {
   std::vector<Message> held = std::move(held_);
   held_.clear();
   in_flight_ -= held.size();
-  for (auto& m : held) {
-    const SimTime span = config_.max_delay - config_.min_delay + 1;
-    SimTime when = simulator_.now() + config_.min_delay +
-                   static_cast<SimTime>(rng_.uniform(span));
-    if (config_.fifo) {
-      auto& last = last_delivery_[{m.src, m.dst}];
-      when = std::max(when, last);
-      last = when;
-    }
-    schedule_delivery(std::move(m), when);
-  }
+  for (auto& m : held) schedule(std::move(m));
 }
 
 }  // namespace rdtgc::sim

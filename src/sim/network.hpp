@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "sim/message.hpp"
@@ -28,7 +26,13 @@ using DeliveryFn = transport::DeliveryFn;
 /// and a recorded socket run (transport::UdsTransport) is certified by
 /// replaying its merged event log through this class in manual mode
 /// (transport/replay.hpp).
-class Network final : public transport::Transport {
+///
+/// A scheduled message waits in a recycled slot of an in-flight slab,
+/// together with the epochs it was sent under; its delivery is a typed
+/// simulator event whose argument is the slot number (Simulator::Target).
+/// The slot is released before the sink runs, so a sink that sends (and
+/// grows the slab) never invalidates the message being delivered.
+class Network final : public transport::Transport, private Simulator::Target {
  public:
   struct Config {
     SimTime min_delay = 1;   ///< inclusive lower bound on transit time
@@ -59,8 +63,9 @@ class Network final : public transport::Transport {
   /// restart_node drives this): the sink slot frees for a reconnect, and
   /// every message in flight to or from p is dropped — parked/held ones
   /// immediately, scheduled ones when their delivery event surfaces (p's
-  /// epoch is bumped, so the stale closure self-discards exactly like the
-  /// drop_in_flight() path).  Counted in stats().dropped_in_flight.
+  /// epoch is bumped, so the slot's recorded epoch no longer matches and the
+  /// event discards it, exactly like the drop_in_flight() path).  Counted in
+  /// stats().dropped_in_flight.
   void disconnect(ProcessId p) override;
 
   /// Send `m` (id and sent_at are assigned here).  Returns the message id.
@@ -73,6 +78,8 @@ class Network final : public transport::Transport {
   Message make_message() override;
 
   /// Drop every message currently in flight (used during recovery sessions).
+  /// Scheduled deliveries stay queued until they surface; their slots carry
+  /// the old global epoch and are discarded then.
   void drop_in_flight();
 
   /// Manual mode: deliver a parked message immediately (synchronously).
@@ -91,7 +98,21 @@ class Network final : public transport::Transport {
   std::uint64_t in_flight() const { return in_flight_; }
 
  private:
-  void schedule_delivery(Message m, SimTime when);
+  /// A scheduled message and the epochs it must still match on delivery.
+  struct InFlight {
+    Message message;
+    std::uint64_t epoch = 0;      ///< global epoch (drop_in_flight)
+    std::uint64_t src_epoch = 0;  ///< process_epoch(message.src)
+    std::uint64_t dst_epoch = 0;  ///< process_epoch(message.dst)
+  };
+
+  /// Delivery event of slab slot `slot` (Simulator::Target).
+  void fire(std::uint64_t slot) override;
+  /// Draw m's transit delay (clamped behind its channel in FIFO mode), park
+  /// it in a free slot and queue its delivery event.
+  void schedule(Message m);
+  /// FIFO mode: widen last_delivery_ to `width` × `width` channels.
+  void grow_channels(std::size_t width);
 
   /// Current epoch of process p (0 until the first disconnect bumps it).
   std::uint64_t process_epoch(ProcessId p) const {
@@ -103,6 +124,7 @@ class Network final : public transport::Transport {
   Simulator& simulator_;
   util::Rng rng_;
   Config config_;
+  SimTime delay_span_;  ///< transit delays are min_delay + [0, delay_span_)
   std::vector<DeliveryFn> sinks_;
   Stats stats_;
   MessageId next_id_ = 1;
@@ -121,8 +143,13 @@ class Network final : public transport::Transport {
   /// Shell of the last delivered message; make_message() hands its DV
   /// buffer back to the next sender (allocation-free steady state).
   Message recycled_;
-  /// Per (src,dst) channel: last scheduled delivery time (FIFO mode).
-  std::map<std::pair<ProcessId, ProcessId>, SimTime> last_delivery_;
+  /// Scheduled messages, indexed by slot; free_slots_ lists released ones.
+  std::vector<InFlight> slots_;
+  std::vector<std::uint64_t> free_slots_;
+  /// FIFO mode: last scheduled delivery time of channel (src, dst), at
+  /// src * channel_width_ + dst; connect() grows the matrix with n.
+  std::vector<SimTime> last_delivery_;
+  std::size_t channel_width_ = 0;
 };
 
 }  // namespace rdtgc::sim

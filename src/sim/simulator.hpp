@@ -6,11 +6,29 @@
 // sequence) order, so a (seed, configuration) pair reproduces an execution
 // bit-for-bit.  The checkpointing and garbage-collection algorithms never read
 // the clock — simulated time exists only to order events and drive workloads.
+//
+// The queue is a flat binary heap of 32-byte POD entries {time, seq, target,
+// arg}; no event allocates once the heap's capacity is warm.  An event is
+// either
+//  * typed — at(t, target, arg) fires `target.fire(arg)`.  The hot event
+//    sources implement Target: sim::Network (arg = the in-flight message's
+//    slot in its slab) and workload::WorkloadDriver (arg = the process);
+//  * a closure — at(t, action) parks the action in a recycled slot vector
+//    and queues {t, seq, nullptr, slot}.  Failure injectors, GC drivers,
+//    probes and tests use this path.
+//
+// Slot lifetime rules:
+//  * a closure slot is released, and its action moved out, BEFORE the action
+//    runs, so a slot the action itself re-fills never aliases the running
+//    action, and an action that throws leaves no slot or heap entry behind;
+//  * a Target must outlive every event queued for it;
+//  * the heap and the closure slots may reallocate whenever an event is
+//    scheduled, including from inside fire() or an action: neither may hold
+//    a reference into the simulator's storage across a call that schedules.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "causality/types.hpp"
@@ -22,6 +40,15 @@ class Simulator {
  public:
   using Action = std::function<void()>;
 
+  /// Receiver of typed events: at(t, target, arg) calls target.fire(arg).
+  class Target {
+   public:
+    virtual void fire(std::uint64_t arg) = 0;
+
+   protected:
+    ~Target() = default;
+  };
+
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -31,6 +58,9 @@ class Simulator {
 
   /// Schedule `fn` at absolute time `t` (>= now()).
   void at(SimTime t, Action fn);
+
+  /// Schedule `target.fire(arg)` at absolute time `t` (>= now()).
+  void at(SimTime t, Target& target, std::uint64_t arg);
 
   /// Schedule `fn` `delay` ticks from now.
   void after(SimTime delay, Action fn) { at(now_ + delay, std::move(fn)); }
@@ -47,13 +77,14 @@ class Simulator {
   void run_until(SimTime t);
 
   std::uint64_t events_processed() const { return processed_; }
-  std::size_t pending() const { return queue_.size(); }
+  std::size_t pending() const { return heap_.size(); }
 
  private:
   struct Entry {
     SimTime time;
     std::uint64_t seq;  // tie-break: FIFO among same-time events
-    Action fn;
+    Target* target;     // nullptr: closure event, arg is its slot
+    std::uint64_t arg;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -62,10 +93,15 @@ class Simulator {
     }
   };
 
+  void push(SimTime t, Target* target, std::uint64_t arg);
+  void run_action(std::uint64_t slot);
+
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<Entry> heap_;  // min-heap on (time, seq) under Later
+  std::vector<Action> actions_;            // closure slots
+  std::vector<std::uint64_t> free_actions_;  // released closure slots
 };
 
 }  // namespace rdtgc::sim

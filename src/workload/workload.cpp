@@ -94,10 +94,18 @@ ckpt::Node& WorkloadDriver::node_at(std::size_t p) {
 }
 
 void WorkloadDriver::start(SimTime until) {
-  for (std::size_t p = 0; p < process_count_; ++p) schedule_activity(p, until);
+  RDTGC_EXPECTS(!started_);
+  started_ = true;
+  until_ = until;
+  for (std::size_t p = 0; p < process_count_; ++p) schedule_activity(p);
 }
 
-void WorkloadDriver::schedule_activity(std::size_t p, SimTime until) {
+void WorkloadDriver::fire(std::uint64_t p) {
+  perform_activity(static_cast<std::size_t>(p));
+  schedule_activity(static_cast<std::size_t>(p));
+}
+
+void WorkloadDriver::schedule_activity(std::size_t p) {
   double mean = static_cast<double>(config_.mean_gap);
   if (config_.kind == WorkloadKind::kBursty) {
     const std::uint64_t phase = phase_pos_[p] / config_.burst_length;
@@ -106,11 +114,8 @@ void WorkloadDriver::schedule_activity(std::size_t p, SimTime until) {
   const auto gap =
       static_cast<SimTime>(std::max(1.0, rng_[p].exponential(mean)));
   const SimTime when = simulator_.now() + gap;
-  if (when > until) return;
-  simulator_.at(when, [this, p, until] {
-    perform_activity(p);
-    schedule_activity(p, until);
-  });
+  if (when > until_) return;
+  simulator_.at(when, *this, p);
 }
 
 void WorkloadDriver::perform_activity(std::size_t p) {

@@ -97,7 +97,9 @@ void validate(const WorkloadConfig& config);
 /// replaced by a warm restart keeps receiving its schedule.
 using NodeProvider = std::function<ckpt::Node&(ProcessId)>;
 
-class WorkloadDriver {
+/// Activities are typed simulator events: process p's next activity is
+/// `fire(p)` on this driver, so the steady-state schedule allocates nothing.
+class WorkloadDriver final : private sim::Simulator::Target {
  public:
   WorkloadDriver(sim::Simulator& simulator, std::vector<ckpt::Node*> nodes,
                  WorkloadConfig config);
@@ -108,12 +110,15 @@ class WorkloadDriver {
                  std::size_t process_count, WorkloadConfig config);
 
   /// Schedule activities for every process until simulated time `until`.
+  /// Call once per driver.
   void start(SimTime until);
 
   std::uint64_t activities() const { return activities_; }
 
  private:
-  void schedule_activity(std::size_t p, SimTime until);
+  /// Process p's activity event: perform it, then schedule p's next one.
+  void fire(std::uint64_t p) override;
+  void schedule_activity(std::size_t p);
   void perform_activity(std::size_t p);
   void heavy_tail_fan_out(std::size_t p, ckpt::Node& node);
   bool take_token(std::size_t p);
@@ -130,6 +135,8 @@ class WorkloadDriver {
   std::vector<ProcessId> rr_next_;        // kClientServer round robin
   std::vector<double> tokens_;            // kTokenBucket: current fill
   std::vector<SimTime> last_refill_;      // kTokenBucket: last refill time
+  SimTime until_ = 0;                     // start() horizon
+  bool started_ = false;
   std::uint64_t activities_ = 0;
 };
 

@@ -4,8 +4,9 @@
 //    RdtLgc::on_new_dependencies vs on_new_dependency, whole-system batched
 //    vs per-peer delivery on randomized workloads);
 //  * a zero-allocation guarantee for the steady-state receive
-//    (merge_into + on_new_dependencies + CCB/store maintenance), enforced
-//    with a global operator new/delete counting hook.
+//    (merge_into + on_new_dependencies + CCB/store maintenance) and for the
+//    simulated transport under it (Network::send + Simulator::step),
+//    enforced with a global operator new/delete counting hook.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +22,8 @@
 #include "core/uc_table.hpp"
 #include "harness/system.hpp"
 #include "helpers.hpp"
+#include "sim/network.hpp"
+#include "sim/simulator.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -337,6 +340,47 @@ TEST(HotPathAllocations, SteadyStateBatchedReceiveIsAllocationFree) {
   EXPECT_EQ(g_allocation_count.load() - before, 0u)
       << "steady-state checkpoint/receive churn touched the heap";
   EXPECT_GE(rig.lgc.collected(), 100u);  // eliminations did happen
+}
+
+// ---- Zero allocations in the simulator and network ----------------------
+
+TEST(HotPathAllocations, SimulatedPingPongIsAllocationFree) {
+  // n=64 processes; each delivery is answered by a re-send built from
+  // make_message(), so the DV buffer cycles sender -> in-flight slot ->
+  // recycled shell.  Once the event heap, the in-flight slab and the
+  // recycled shell are warm, a send plus a step never touches the heap.
+  const std::size_t n = 64;
+  sim::Simulator simulator;
+  sim::Network network(simulator, util::Rng(11), {});
+  std::uint64_t deliveries = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    network.connect(static_cast<ProcessId>(p), [&](const sim::Message& m) {
+      ++deliveries;
+      sim::Message reply = network.make_message();
+      reply.src = m.dst;
+      reply.dst = m.src;
+      reply.dv = m.dv;  // same-size copy into the recycled buffer
+      reply.dv.at(m.dst) += 1;
+      reply.bytes = m.bytes;
+      network.send(std::move(reply));
+    });
+  }
+  for (std::size_t p = 0; p < n; ++p) {
+    sim::Message m = network.make_message();
+    m.src = static_cast<ProcessId>(p);
+    m.dst = static_cast<ProcessId>((p + 1) % n);
+    m.dv = causality::DependencyVector(n);
+    m.bytes = 8;
+    network.send(std::move(m));
+  }
+  ASSERT_EQ(simulator.run(20000), 20000u);  // warm-up
+
+  const std::uint64_t before = g_allocation_count.load();
+  ASSERT_EQ(simulator.run(20000), 20000u);
+  EXPECT_EQ(g_allocation_count.load() - before, 0u)
+      << "steady-state Network::send + Simulator::step touched the heap";
+  EXPECT_EQ(deliveries, 40000u);
+  EXPECT_EQ(network.in_flight(), n);
 }
 
 // ---- Zero allocations per shard of the sharded store ---------------------

@@ -256,5 +256,20 @@ TEST(Workload, RequiresAtLeastTwoProcesses) {
                util::ContractViolation);
 }
 
+TEST(Workload, StartsOnceAndStopsAtItsHorizon) {
+  harness::SystemConfig config;
+  config.process_count = 3;
+  harness::System system(config);
+  workload::WorkloadConfig wl;
+  workload::WorkloadDriver driver(system.simulator(), system.node_ptrs(), wl);
+  driver.start(500);
+  EXPECT_THROW(driver.start(900), util::ContractViolation);
+  system.simulator().run_until(500);
+  const std::uint64_t activities = driver.activities();
+  EXPECT_GT(activities, 0u);
+  system.simulator().run();  // only deliveries remain past the horizon
+  EXPECT_EQ(driver.activities(), activities);
+}
+
 }  // namespace
 }  // namespace rdtgc
