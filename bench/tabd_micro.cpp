@@ -5,9 +5,11 @@
 //  * the Algorithm-3 rollback rebuild is O(n log n) with binary search over
 //    the stored checkpoints, versus O(n^2) for the linear scan;
 //  * the offline analyses (R-graph construction, Lemma-1 lines, Theorem-1
-//    characterization) scale with the recorded history.
+//    characterization) scale with the recorded history;
+//  * the recorder's rollback does not: it costs O(undone events).
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -16,6 +18,7 @@
 #include "causality/dependency_vector.hpp"
 #include "ccp/analysis.hpp"
 #include "ccp/precedence.hpp"
+#include "ccp/recorder.hpp"
 #include "ccp/zigzag.hpp"
 #include "ckpt/protocol.hpp"
 #include "ckpt/sharded_checkpoint_store.hpp"
@@ -682,6 +685,80 @@ void BM_RollbackLinear(benchmark::State& state) {
 }
 BENCHMARK(BM_RollbackBinary)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_RollbackLinear)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+
+// The CCP recorder's half of a rollback against the length of the recorded
+// history: Arg messages are recorded at n=8 (each sent and delivered), then
+// each iteration rolls process 0 back over its volatile interval (two sends,
+// two receives) and re-records that interval.  The per-process undo chains
+// make this flat in Arg; a scan over every recorded message grows linearly.
+//
+// Each iteration records four fresh messages.  Their ids are reserved right
+// after the history, so messages() never reallocates inside the timed
+// region (a 64 MiB copy there would swamp the undo); the run is fixed at one
+// pool's worth of iterations, so the history is built exactly once.
+constexpr std::size_t kRecorderProcesses = 8;
+constexpr sim::MessageId kIntervalMessages = 4;
+constexpr std::int64_t kRecorderIterations = 16384;
+constexpr sim::MessageId kPooledIds =
+    static_cast<sim::MessageId>(kRecorderIterations + 1) * kIntervalMessages;
+
+void record_delivered(ccp::CcpRecorder& recorder, sim::MessageId id,
+                      ProcessId src, ProcessId dst) {
+  sim::Message m;  // empty dv and control: no allocation
+  m.id = id;
+  m.src = src;
+  m.dst = dst;
+  m.send_interval = recorder.last_stable(src) + 1;
+  recorder.record_send(m, 0);
+  recorder.record_receive(m, recorder.last_stable(dst) + 1, 0);
+}
+
+/// Process 0's volatile interval, on ids [id, id + kIntervalMessages).
+void record_volatile_interval(ccp::CcpRecorder& recorder, sim::MessageId id) {
+  record_delivered(recorder, id, 0, 1);
+  record_delivered(recorder, id + 1, 0, 2);
+  record_delivered(recorder, id + 2, 1, 0);
+  record_delivered(recorder, id + 3, 2, 0);
+}
+
+/// `messages` delivered messages, then c_0^1 (the rollback target), then
+/// kPooledIds unsent ids starting at `pool`.
+std::unique_ptr<ccp::CcpRecorder> recorded_history(std::size_t messages,
+                                                   sim::MessageId& pool) {
+  auto recorder = std::make_unique<ccp::CcpRecorder>(kRecorderProcesses);
+  causality::DependencyVector dv(kRecorderProcesses);
+  for (std::size_t p = 0; p < kRecorderProcesses; ++p)
+    recorder->record_checkpoint(static_cast<ProcessId>(p), 0, dv,
+                                ccp::CheckpointKind::kInitial, 0);
+  for (std::size_t k = 0; k < messages; ++k)
+    record_delivered(*recorder, recorder->new_message_id(),
+                     static_cast<ProcessId>(k % kRecorderProcesses),
+                     static_cast<ProcessId>((k + 1) % kRecorderProcesses));
+  dv.at(0) = 1;
+  recorder->record_checkpoint(0, 1, dv, ccp::CheckpointKind::kBasic, 0);
+  pool = recorder->new_message_id();
+  for (sim::MessageId k = 1; k < kPooledIds; ++k) recorder->new_message_id();
+  return recorder;
+}
+
+void BM_RollbackRecorder(benchmark::State& state) {
+  const auto messages = static_cast<std::size_t>(state.range(0));
+  sim::MessageId next = 0;
+  const auto recorder = recorded_history(messages, next);
+  record_volatile_interval(*recorder, next);
+  for (auto _ : state) {
+    next += kIntervalMessages;
+    recorder->record_rollback(0, 1, 0);
+    record_volatile_interval(*recorder, next);
+    benchmark::DoNotOptimize(recorder->stats().messages_rolled_back);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RollbackRecorder)
+    ->Arg(1000)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->Iterations(kRecorderIterations);
 
 /// One recorded history shared by the analysis benchmarks.
 const harness::System& recorded_run() {

@@ -1,6 +1,7 @@
 #include "ccp/recorder.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -52,7 +53,9 @@ CcpRecorder::CcpRecorder(std::size_t n)
     : checkpoints_(n),
       volatile_dv_(n, causality::DependencyVector(n)),
       attached_dv_(n, nullptr),
-      next_serial_(n, 1) {
+      next_serial_(n, 1),
+      send_head_(n, 0),
+      recv_head_(n, 0) {
   RDTGC_EXPECTS(n >= 1);
   dv_arena_.reserve(n);  // DvArena is move-only: emplace, don't fill-copy
   for (std::size_t p = 0; p < n; ++p) dv_arena_.emplace_back(n);
@@ -67,9 +70,10 @@ void CcpRecorder::reserve(std::size_t checkpoints) {
 }
 
 sim::MessageId CcpRecorder::new_message_id() {
+  // Ids double as the undo chains' 32-bit links.
+  RDTGC_EXPECTS(messages_.size() < std::numeric_limits<std::uint32_t>::max());
   messages_.emplace_back();
-  messages_.back().id = messages_.size();
-  return messages_.back().id;
+  return messages_.size();
 }
 
 void CcpRecorder::append_checkpoint(ProcessId p, CheckpointIndex idx,
@@ -109,13 +113,19 @@ void CcpRecorder::seed_checkpoint(ProcessId p, CheckpointIndex idx,
 
 void CcpRecorder::record_send(sim::Message& m, SimTime t) {
   RDTGC_EXPECTS(m.id >= 1 && m.id <= messages_.size());
+  const std::size_t n = process_count();
+  RDTGC_EXPECTS(m.src >= 0 && static_cast<std::size_t>(m.src) < n);
+  RDTGC_EXPECTS(m.dst >= 0 && static_cast<std::size_t>(m.dst) < n);
   MessageInfo& info = messages_[m.id - 1];
   RDTGC_EXPECTS(info.send_serial == 0);  // each id used once
+  const auto src = static_cast<std::size_t>(m.src);
   info.src = m.src;
   info.dst = m.dst;
   info.send_interval = m.send_interval;
-  info.send_serial = next_serial_[static_cast<std::size_t>(m.src)]++;
+  info.send_serial = next_serial_[src]++;
   info.send_gseq = next_gseq_++;
+  info.prev_send = send_head_[src];
+  send_head_[src] = static_cast<std::uint32_t>(m.id);
   m.send_serial = info.send_serial;
   (void)t;
 }
@@ -126,10 +136,16 @@ void CcpRecorder::record_receive(const sim::Message& m,
   MessageInfo& info = messages_[m.id - 1];
   RDTGC_EXPECTS(!info.delivered);
   RDTGC_EXPECTS(info.send_serial != 0);  // must have been sent
+  // record_send range-checked info's endpoints; a mismatched dst would link
+  // this receive into the wrong process's undo chain.
+  RDTGC_EXPECTS(m.src == info.src && m.dst == info.dst);
+  const auto dst = static_cast<std::size_t>(m.dst);
   info.delivered = true;
   info.recv_interval = recv_interval;
-  info.recv_serial = next_serial_[static_cast<std::size_t>(m.dst)]++;
+  info.recv_serial = next_serial_[dst]++;
   info.recv_gseq = next_gseq_++;
+  info.prev_recv = recv_head_[dst];
+  recv_head_[dst] = static_cast<std::uint32_t>(m.id);
   (void)t;
 }
 
@@ -162,13 +178,20 @@ void CcpRecorder::undo_after(ProcessId p, CheckpointIndex ri) {
   dv_arena_[static_cast<std::size_t>(p)].truncate(static_cast<std::size_t>(ri) +
                                                   1);
 
-  for (MessageInfo& m : messages_) {
-    if (m.src == p && m.send_alive && m.send_serial > cutoff) {
-      m.send_alive = false;
-      ++stats_.messages_rolled_back;
-    }
-    if (m.dst == p && m.delivered && m.recv_alive && m.recv_serial > cutoff)
-      m.recv_alive = false;
+  // Each chain runs newest first: pop (and kill) endpoints until the first
+  // one at or before c_p^ri.  Everything left on a chain is alive.
+  std::uint32_t& sends = send_head_[static_cast<std::size_t>(p)];
+  while (sends != 0 && messages_[sends - 1].send_serial > cutoff) {
+    MessageInfo& m = messages_[sends - 1];
+    m.send_alive = false;
+    ++stats_.messages_rolled_back;
+    sends = m.prev_send;
+  }
+  std::uint32_t& recvs = recv_head_[static_cast<std::size_t>(p)];
+  while (recvs != 0 && messages_[recvs - 1].recv_serial > cutoff) {
+    MessageInfo& m = messages_[recvs - 1];
+    m.recv_alive = false;
+    recvs = m.prev_recv;
   }
 }
 

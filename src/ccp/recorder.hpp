@@ -11,7 +11,13 @@
 // c^RI on that process is undone.  The recorder marks those checkpoints and
 // message endpoints dead; analyses consider only the live CCP.  Checkpoint
 // indices above RI are then reused by the re-execution, exactly as in the
-// paper's model.
+// paper's model.  An undo costs O(undone endpoints + undone checkpoints),
+// independent of how long the run has been recording: each process keeps
+// two intrusive chains through messages() — its sends and its receives,
+// newest first — so the undo pops exactly the endpoints it kills and stops
+// at the first one at or before c^RI.  A popped endpoint is dead for good,
+// so the chain work is amortized O(1) per endpoint over any sequence of
+// rollbacks and restarts.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +48,13 @@ struct CheckpointInfo {
   SimTime time = 0;
 };
 
-/// One recorded message (live or not).
+/// One recorded message (live or not); its id is its position in
+/// CcpRecorder::messages() plus one.
 struct MessageInfo {
-  sim::MessageId id = 0;
+  /// Undo-chain links, owned by the recorder: the id of the previous send by
+  /// `src` and of the previous receive by `dst` (0 = end of chain).
+  std::uint32_t prev_send = 0;
+  std::uint32_t prev_recv = 0;
   ProcessId src = -1;
   ProcessId dst = -1;
   IntervalIndex send_interval = 0;
@@ -61,6 +71,9 @@ struct MessageInfo {
   /// endpoint has been rolled back.
   bool live() const { return delivered && send_alive && recv_alive; }
 };
+// One record per message ever sent is the recorder's largest footprint; the
+// undo-chain links must not grow it.
+static_assert(sizeof(MessageInfo) == 64, "MessageInfo must stay 64 bytes");
 
 /// Append-only arena of fixed-width dependency-vector rows (one per
 /// recorded checkpoint), laid out in equal-size chunks.
@@ -118,7 +131,8 @@ class CcpRecorder {
 
   // ---- Recording API (driven by the simulation) ----
 
-  /// Allocate a fresh message id (dense, 1-based).
+  /// Allocate a fresh message id (dense, 1-based, at most 2^32 - 1 of them:
+  /// the undo chains link messages by 32-bit id).
   sim::MessageId new_message_id();
 
   /// Record checkpoint c_p^idx with the DV stored alongside it.
@@ -140,11 +154,12 @@ class CcpRecorder {
   void seed_checkpoint(ProcessId p, CheckpointIndex idx, causality::DvView dv,
                        CheckpointKind kind, SimTime t);
 
-  /// Record the send of m (m.id must come from new_message_id);
-  /// fills m.send_serial.
+  /// Record the send of m (m.id must come from new_message_id, m.src and
+  /// m.dst must be processes of this recorder); fills m.send_serial.
   void record_send(sim::Message& m, SimTime t);
 
-  /// Record delivery of m at its destination in `recv_interval`.
+  /// Record delivery of m at its destination in `recv_interval`.  m must
+  /// carry the src and dst its send was recorded with.
   void record_receive(const sim::Message& m, IntervalIndex recv_interval,
                       SimTime t);
 
@@ -160,7 +175,9 @@ class CcpRecorder {
   void attach_volatile_dv(ProcessId p, const causality::DependencyVector* dv);
 
   /// Record that p rolled back to checkpoint `ri`: checkpoints with index
-  /// > ri die, as do message endpoints after c_p^ri.
+  /// > ri die, as do message endpoints after c_p^ri.  Costs
+  /// O(undone endpoints + undone checkpoints); the length of the recorded
+  /// history does not enter.
   void record_rollback(ProcessId p, CheckpointIndex ri, SimTime t);
 
   /// Record that p's process died and re-attached to its media at
@@ -171,6 +188,7 @@ class CcpRecorder {
   /// Theorem-1 oracle keeps certifying the GLOBAL recovery line across the
   /// restart instead of forgetting the pre-crash checkpoints.  The restarted
   /// Node re-validates its recovered per-stripe DVs against these rows.
+  /// Same cost as record_rollback: O(undone endpoints + undone checkpoints).
   /// Counted in stats().restarts, not stats().rollbacks.
   void record_restart(ProcessId p, CheckpointIndex ri, SimTime t);
 
@@ -223,7 +241,7 @@ class CcpRecorder {
 
  private:
   /// Shared undo of record_rollback/record_restart: kill checkpoints above
-  /// `ri` and every message endpoint after c_p^ri.
+  /// `ri` and every message endpoint after c_p^ri, popping p's undo chains.
   void undo_after(ProcessId p, CheckpointIndex ri);
 
   /// Shared append of record_checkpoint/seed_checkpoint: one arena row plus
@@ -244,6 +262,11 @@ class CcpRecorder {
   /// Live DV views registered by attach_volatile_dv (null = use the copy).
   std::vector<const causality::DependencyVector*> attached_dv_;  // [p]
   std::vector<std::uint64_t> next_serial_;                // [p]
+  /// Undo-chain heads: id of p's newest live send / live receive (0 = none).
+  /// Serials are assigned as endpoints are linked in, so each chain runs in
+  /// descending serial order and every endpoint still on it is alive.
+  std::vector<std::uint32_t> send_head_;                  // [p]
+  std::vector<std::uint32_t> recv_head_;                  // [p]
   std::vector<MessageInfo> messages_;                     // by id-1
   Stats stats_;
 };

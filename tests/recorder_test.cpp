@@ -1,8 +1,14 @@
 // Unit tests for the CCP recorder, including rollback (lineage) handling.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "ccp/recorder.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace rdtgc::ccp {
 namespace {
@@ -149,9 +155,238 @@ TEST_F(RecorderTest, RollbackToVolatileOnlyRejected) {
   EXPECT_THROW(recorder_.record_rollback(0, 1, 1), util::ContractViolation);
 }
 
+TEST_F(RecorderTest, SendWithProcessOutOfRangeRejected) {
+  for (const auto& [src, dst] : {std::pair<ProcessId, ProcessId>{3, 0},
+                                 {-1, 0},
+                                 {0, 3},
+                                 {0, -1}}) {
+    sim::Message m;
+    m.id = recorder_.new_message_id();
+    m.src = src;
+    m.dst = dst;
+    EXPECT_THROW(recorder_.record_send(m, 0), util::ContractViolation);
+  }
+}
+
+TEST_F(RecorderTest, ReceiveWithMismatchedEndpointsRejected) {
+  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
+  const sim::Message sent = send(0, 1, dv3(1, 0, 0));
+  sim::Message wrong_dst = sent;
+  wrong_dst.dst = 2;
+  EXPECT_THROW(recorder_.record_receive(wrong_dst, 1, 1),
+               util::ContractViolation);
+  sim::Message wrong_src = sent;
+  wrong_src.src = 2;
+  EXPECT_THROW(recorder_.record_receive(wrong_src, 1, 1),
+               util::ContractViolation);
+  sim::Message out_of_range = sent;
+  out_of_range.dst = 3;
+  EXPECT_THROW(recorder_.record_receive(out_of_range, 1, 1),
+               util::ContractViolation);
+  // The rejected calls recorded nothing: the real delivery still goes in.
+  recorder_.record_receive(sent, 1, 1);
+  EXPECT_TRUE(recorder_.messages()[sent.id - 1].live());
+}
+
 TEST_F(RecorderTest, VolatileDvTracksUpdates) {
   recorder_.set_volatile_dv(2, dv3(0, 1, 3));
   EXPECT_EQ(recorder_.volatile_dv(2), dv3(0, 1, 3));
+}
+
+// ---- Undo chains against a full scan ----
+
+// Reference model of the recorder's undo: it assigns serials the same way and
+// kills endpoints with an O(messages) scan over every message ever recorded,
+// which needs no chain invariant to be right.
+class ScanReference {
+ public:
+  explicit ScanReference(std::size_t n)
+      : checkpoint_serials_(n), next_serial_(n, 1) {}
+
+  void new_message_id() { messages_.emplace_back(); }
+
+  void checkpoint(ProcessId p) {
+    checkpoint_serials_[static_cast<std::size_t>(p)].push_back(
+        next_serial_[static_cast<std::size_t>(p)]++);
+  }
+
+  void send(const sim::Message& m) {
+    MessageInfo& info = messages_[m.id - 1];
+    info.src = m.src;
+    info.dst = m.dst;
+    info.send_serial = next_serial_[static_cast<std::size_t>(m.src)]++;
+  }
+
+  void receive(const sim::Message& m) {
+    MessageInfo& info = messages_[m.id - 1];
+    info.delivered = true;
+    info.recv_serial = next_serial_[static_cast<std::size_t>(m.dst)]++;
+  }
+
+  void undo_after(ProcessId p, CheckpointIndex ri) {
+    auto& list = checkpoint_serials_[static_cast<std::size_t>(p)];
+    const std::uint64_t cutoff = list[static_cast<std::size_t>(ri)];
+    list.resize(static_cast<std::size_t>(ri) + 1);
+    for (MessageInfo& m : messages_) {
+      if (m.src == p && m.send_alive && m.send_serial > cutoff) {
+        m.send_alive = false;
+        ++messages_rolled_back_;
+      }
+      if (m.dst == p && m.delivered && m.recv_alive && m.recv_serial > cutoff)
+        m.recv_alive = false;
+    }
+  }
+
+  bool audit_no_orphans() const {
+    for (const MessageInfo& m : messages_)
+      if (m.delivered && m.recv_alive && !m.send_alive) return false;
+    return true;
+  }
+
+  const std::vector<MessageInfo>& messages() const { return messages_; }
+  std::uint64_t messages_rolled_back() const { return messages_rolled_back_; }
+
+ private:
+  std::vector<std::vector<std::uint64_t>> checkpoint_serials_;  // [p]
+  std::vector<std::uint64_t> next_serial_;                      // [p]
+  std::vector<MessageInfo> messages_;                           // by id-1
+  std::uint64_t messages_rolled_back_ = 0;
+};
+
+// How often a trace hit each situation the chains must get right, summed
+// over all traces so the test can insist that every one was exercised.
+struct TraceCoverage {
+  std::uint64_t out_of_order_receives = 0;
+  std::uint64_t late_receives_of_undone_sends = 0;
+  std::uint64_t repeated_cutoffs = 0;
+  std::uint64_t decreasing_cutoffs = 0;
+  std::uint64_t restarts = 0;
+  std::uint64_t unsent_ids = 0;
+};
+
+void expect_same_undo_state(const CcpRecorder& recorder,
+                            const ScanReference& reference) {
+  const auto& got = recorder.messages();
+  const auto& want = reference.messages();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const bool same = got[i].send_serial == want[i].send_serial &&
+                      got[i].recv_serial == want[i].recv_serial &&
+                      got[i].send_alive == want[i].send_alive &&
+                      got[i].recv_alive == want[i].recv_alive &&
+                      got[i].live() == want[i].live();
+    ASSERT_TRUE(same) << "message id " << i + 1 << ": send_alive "
+                      << got[i].send_alive << " vs " << want[i].send_alive
+                      << ", recv_alive " << got[i].recv_alive << " vs "
+                      << want[i].recv_alive;
+  }
+  ASSERT_EQ(recorder.stats().messages_rolled_back,
+            reference.messages_rolled_back());
+  ASSERT_EQ(recorder.audit_no_orphans(), reference.audit_no_orphans());
+}
+
+// One random trace of sends, receives (any order, including late deliveries
+// of undone sends), losses, unsent ids, checkpoints, rollbacks and restarts,
+// checked against the reference after every undo.
+void run_trace(std::size_t n, std::uint64_t seed, int steps,
+               TraceCoverage& coverage) {
+  CcpRecorder recorder(n);
+  ScanReference reference(n);
+  util::Rng rng(seed);
+  const auto any_process = [&] {
+    return static_cast<ProcessId>(rng.uniform(n));
+  };
+  const auto take_checkpoint = [&](ProcessId p, CheckpointKind kind) {
+    const auto idx = static_cast<CheckpointIndex>(
+        recorder.checkpoints(p).size());
+    causality::DependencyVector dv(n);
+    dv.at(p) = idx;
+    recorder.record_checkpoint(p, idx, dv, kind, 0);
+    reference.checkpoint(p);
+  };
+  for (std::size_t p = 0; p < n; ++p)
+    take_checkpoint(static_cast<ProcessId>(p), CheckpointKind::kInitial);
+
+  std::vector<sim::Message> in_flight;
+  std::vector<CheckpointIndex> last_cutoff(n, -1);  // -1: never undone
+  for (int step = 0; step < steps; ++step) {
+    const std::uint64_t roll = rng.uniform(100);
+    if (roll < 30) {  // send
+      sim::Message m;
+      m.id = recorder.new_message_id();
+      reference.new_message_id();
+      m.src = any_process();
+      m.dst = static_cast<ProcessId>(
+          (static_cast<std::size_t>(m.src) + 1 + rng.uniform(n - 1)) % n);
+      m.send_interval = recorder.last_stable(m.src) + 1;
+      recorder.record_send(m, 0);
+      reference.send(m);
+      ASSERT_EQ(m.send_serial, reference.messages()[m.id - 1].send_serial);
+      in_flight.push_back(std::move(m));
+    } else if (roll < 60 && !in_flight.empty()) {  // receive, any order
+      const std::size_t pick = rng.uniform(in_flight.size());
+      const sim::Message m = std::move(in_flight[pick]);
+      if (pick + 1 != in_flight.size()) {
+        ++coverage.out_of_order_receives;
+        in_flight[pick] = std::move(in_flight.back());
+      }
+      in_flight.pop_back();
+      if (!recorder.messages()[m.id - 1].send_alive)
+        ++coverage.late_receives_of_undone_sends;
+      recorder.record_receive(m, recorder.last_stable(m.dst) + 1, 0);
+      reference.receive(m);
+    } else if (roll < 65 && !in_flight.empty()) {  // lost in transit
+      in_flight.erase(in_flight.begin() +
+                      static_cast<std::ptrdiff_t>(
+                          rng.uniform(in_flight.size())));
+    } else if (roll < 68) {  // an id taken but never sent
+      recorder.new_message_id();
+      reference.new_message_id();
+      ++coverage.unsent_ids;
+    } else if (roll < 82) {
+      take_checkpoint(any_process(), CheckpointKind::kBasic);
+    } else {
+      const ProcessId p = any_process();
+      const CheckpointIndex last = recorder.last_stable(p);
+      const bool restart = roll >= 94;
+      // Restarts resume at the last stable checkpoint; rollbacks go to a
+      // uniform one, or to the last one so back-to-back undos repeat it.
+      const CheckpointIndex ri =
+          restart || rng.bernoulli(0.3)
+              ? last
+              : static_cast<CheckpointIndex>(
+                    rng.uniform(static_cast<std::uint64_t>(last) + 1));
+      CheckpointIndex& prev = last_cutoff[static_cast<std::size_t>(p)];
+      if (ri == prev) ++coverage.repeated_cutoffs;
+      if (prev >= 0 && ri < prev) ++coverage.decreasing_cutoffs;
+      prev = ri;
+      if (restart) {
+        recorder.record_restart(p, ri, 0);
+        ++coverage.restarts;
+      } else {
+        recorder.record_rollback(p, ri, 0);
+      }
+      reference.undo_after(p, ri);
+      ASSERT_EQ(recorder.last_stable(p), ri);
+      ASSERT_NO_FATAL_FAILURE(expect_same_undo_state(recorder, reference));
+    }
+  }
+}
+
+TEST(RecorderUndoChains, MatchFullScanOnRandomTraces) {
+  TraceCoverage coverage;
+  for (const std::size_t n : {2u, 3u, 8u}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " seed=" << seed);
+      ASSERT_NO_FATAL_FAILURE(run_trace(n, seed * 7919 + n, 1500, coverage));
+    }
+  }
+  EXPECT_GT(coverage.out_of_order_receives, 0u);
+  EXPECT_GT(coverage.late_receives_of_undone_sends, 0u);
+  EXPECT_GT(coverage.repeated_cutoffs, 0u);
+  EXPECT_GT(coverage.decreasing_cutoffs, 0u);
+  EXPECT_GT(coverage.restarts, 0u);
+  EXPECT_GT(coverage.unsent_ids, 0u);
 }
 
 }  // namespace
