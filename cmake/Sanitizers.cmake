@@ -14,7 +14,7 @@ endfunction()
 
 # ThreadSanitizer toggle (the `tsan` preset): incompatible with ASan, so it
 # is a separate option and the top-level CMakeLists rejects combining them.
-# Used to vet the striped-store locking and the FleetRunner scheduling —
+# Used to vet the durability pipeline's writer and the FleetRunner scheduling —
 # tests/concurrency_test.cpp is written to fail under tsan if either loses a
 # guard.
 function(rdtgc_enable_thread_sanitizer)

@@ -11,15 +11,13 @@
 // at most n+1 checkpoints are live, so erase shifts are tiny and the
 // GC-elimination path never allocates.
 //
-// This flat store is also the building block and reference implementation of
-// the index-striped ShardedCheckpointStore (sharded_checkpoint_store.hpp):
-// each stripe there is one StorageBackend, this class being the in-memory
-// one, and tests/store_test.cpp property-tests the two for observable
-// equivalence.  Nodes hold the sharded store; use this one directly for
-// single-stripe scenarios and as the equivalence oracle — the persistent
-// backends (mmap_backend.hpp, log_backend.hpp) embed one of these as their
-// in-memory mirror, so "backend X matches the flat store" is the single
-// equivalence contract everything reduces to.
+// This flat store is the in-memory StorageBackend that the per-process
+// ShardedCheckpointStore (sharded_checkpoint_store.hpp) holds by default and
+// uses as its acknowledged mirror under an async durability policy.  It is
+// also the equivalence oracle: the persistent backends (mmap_backend.hpp,
+// log_backend.hpp) embed one of these as their in-memory mirror, so
+// "backend X matches the flat store" is the single equivalence contract
+// everything reduces to.
 #pragma once
 
 #include <cstdint>

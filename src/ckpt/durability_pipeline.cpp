@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <mutex>
+#include <limits>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -12,8 +13,8 @@ namespace rdtgc::ckpt {
 namespace {
 
 /// Ring capacity: comfortably above the commit window so inline mode never
-/// blocks on space and background producers rarely do, rounded to a power
-/// of two for mask indexing.
+/// fills it and background producers rarely do, rounded to a power of two
+/// for mask indexing.
 std::size_t ring_capacity_for(std::size_t every_k) {
   std::size_t want = std::max<std::size_t>(2 * every_k, 64);
   std::size_t cap = 1;
@@ -26,21 +27,17 @@ std::size_t ring_capacity_for(std::size_t every_k) {
 /// wall-clock, long enough not to burn a core spinning.
 constexpr std::chrono::microseconds kWriterIdleNap{50};
 
+constexpr std::size_t kAllOps = std::numeric_limits<std::size_t>::max();
+
 }  // namespace
 
-DurabilityPipeline::DurabilityPipeline(
-    DurabilityPolicy policy,
-    std::vector<std::unique_ptr<StorageBackend>>& stripes, std::size_t mask,
-    std::function<void(const StoreStats&)> publish_meta)
+DurabilityPipeline::DurabilityPipeline(DurabilityPolicy policy,
+                                       StorageBackend& backend)
     : policy_(policy),
-      stripes_(stripes),
-      shard_mask_(mask),
-      publish_meta_(std::move(publish_meta)),
-      ring_(ring_capacity_for(std::max<std::size_t>(policy.every_k_ops, 1))),
-      touched_(stripes.size(), 0) {
+      backend_(backend),
+      ring_(ring_capacity_for(std::max<std::size_t>(policy.every_k_ops, 1))) {
   RDTGC_EXPECTS(policy_.mode != DurabilityMode::kSync);
   RDTGC_EXPECTS(policy_.every_k_ops >= 1);
-  RDTGC_EXPECTS(stripes_.size() == mask + 1);
   ring_mask_ = ring_.size() - 1;
   if (policy_.mode == DurabilityMode::kBackground)
     writer_ = std::thread([this] { writer_main(); });
@@ -55,23 +52,21 @@ DurabilityPipeline::~DurabilityPipeline() {
 }
 
 template <typename FillFn>
-bool DurabilityPipeline::enqueue(Slot::Kind kind, bool is_put, FillFn&& fill) {
-  for (;;) {
-    ring_lock_.lock();
-    if (head_ - tail_ < ring_.size()) break;
-    // Ring full: backpressure.  In kBackground the writer is draining and
-    // tail_ advances shortly; in kGroupCommit this spin is unreachable
-    // (the window trigger fires at every_k_ops, half the capacity floor).
-    ring_lock_.unlock();
-    std::this_thread::yield();
+bool DurabilityPipeline::enqueue(bool is_put, FillFn&& fill) {
+  std::unique_lock<std::mutex> ring(ring_lock_);
+  while (head_ - tail_ == ring_.size()) {
+    // Backpressure: drain inline.  Reached under kBackground when the
+    // writer falls behind or stopped on an error, and under kGroupCommit
+    // only after failed commits (the trigger fires at half the capacity).
+    ring.unlock();
+    commit();
+    ring.lock();
   }
-  Slot& slot = ring_[static_cast<std::size_t>(head_ & ring_mask_)];
-  slot.kind = kind;
-  fill(slot);
+  fill(ring_[static_cast<std::size_t>(head_ & ring_mask_)]);
   ++head_;  // publish: the drain side may read the slot from here on
   const std::uint64_t pending = head_ - tail_;
   acked_ops_.fetch_add(1, std::memory_order_relaxed);
-  ring_lock_.unlock();
+  ring.unlock();
   if (policy_.mode != DurabilityMode::kGroupCommit) return false;
   return pending >= policy_.every_k_ops || (is_put && policy_.every_checkpoint);
 }
@@ -79,177 +74,126 @@ bool DurabilityPipeline::enqueue(Slot::Kind kind, bool is_put, FillFn&& fill) {
 bool DurabilityPipeline::record_put(CheckpointIndex index,
                                     const causality::DependencyVector& dv,
                                     SimTime stored_at, std::uint64_t bytes) {
-  const bool trigger =
-      enqueue(Slot::Kind::kPut, /*is_put=*/true, [&](Slot& slot) {
-        slot.index = index;
-        slot.stored_at = stored_at;
-        slot.bytes = bytes;
-        slot.discarded = 0;
-        slot.dv_size = dv.size();
-        if (slot.dv.size() < slot.dv_size) slot.dv.resize(slot.dv_size);
-        if (slot.dv_size > 0)
-          std::memcpy(slot.dv.data(), dv.entries().data(),
-                      slot.dv_size * sizeof(IntervalIndex));
-      });
+  const bool trigger = enqueue(/*is_put=*/true, [&](Slot& slot) {
+    slot.kind = Slot::Kind::kPut;
+    slot.index = index;
+    slot.stored_at = stored_at;
+    slot.bytes = bytes;
+    slot.dv_size = dv.size();
+    if (slot.dv.size() < slot.dv_size) slot.dv.resize(slot.dv_size);
+    if (slot.dv_size > 0)
+      std::memcpy(slot.dv.data(), dv.entries().data(),
+                  slot.dv_size * sizeof(IntervalIndex));
+  });
   acked_index_.store(index, std::memory_order_relaxed);
   return trigger;
 }
 
-bool DurabilityPipeline::record_collect(CheckpointIndex index,
-                                        std::uint64_t freed) {
-  return enqueue(Slot::Kind::kCollect, /*is_put=*/false, [&](Slot& slot) {
+bool DurabilityPipeline::record_collect(CheckpointIndex index) {
+  return enqueue(/*is_put=*/false, [&](Slot& slot) {
+    slot.kind = Slot::Kind::kCollect;
     slot.index = index;
-    slot.stored_at = 0;
-    slot.bytes = freed;
-    slot.discarded = 0;
-    slot.dv_size = 0;
   });
 }
 
-bool DurabilityPipeline::record_discard(CheckpointIndex ri,
-                                        std::size_t discarded,
-                                        std::uint64_t freed) {
-  const bool trigger =
-      enqueue(Slot::Kind::kDiscardAfter, /*is_put=*/false, [&](Slot& slot) {
-        slot.index = ri;
-        slot.stored_at = 0;
-        slot.bytes = freed;
-        slot.discarded = discarded;
-        slot.dv_size = 0;
-      });
+bool DurabilityPipeline::record_discard(CheckpointIndex ri) {
+  const bool trigger = enqueue(/*is_put=*/false, [&](Slot& slot) {
+    slot.kind = Slot::Kind::kDiscardAfter;
+    slot.index = ri;
+  });
   // A rollback truncates the acknowledged lineage; the acked index follows
   // it down so the lag figures stay meaningful across restarts.
   acked_index_.store(ri, std::memory_order_relaxed);
   return trigger;
 }
 
-std::size_t DurabilityPipeline::drain_some(std::size_t max_ops) {
-  std::lock_guard<util::SpinLock> drain(drain_lock_);
+void DurabilityPipeline::apply(const Slot& slot) {
+  // `applied_index_` mirrors, in the same op order, exactly what
+  // record_put / record_discard did to acked_index_ — so a fully drained
+  // ring always reads acked_index == synced_index, whatever op a window
+  // happens to end on (a collect leaves the put high-water alone on both
+  // sides).
+  switch (slot.kind) {
+    case Slot::Kind::kPut:
+      if (scratch_dv_.size() != slot.dv_size)
+        scratch_dv_ = causality::DependencyVector(slot.dv_size);
+      if (slot.dv_size > 0)
+        std::memcpy(&scratch_dv_.at(0), slot.dv.data(),
+                    slot.dv_size * sizeof(IntervalIndex));
+      backend_.put(slot.index, scratch_dv_, slot.stored_at, slot.bytes);
+      applied_index_ = slot.index;
+      break;
+    case Slot::Kind::kCollect:
+      backend_.collect(slot.index);
+      break;
+    case Slot::Kind::kDiscardAfter:
+      backend_.discard_after(slot.index);
+      applied_index_ = slot.index;  // the lineage truncated to ri
+      break;
+  }
+}
 
-  ring_lock_.lock();
+std::size_t DurabilityPipeline::drain_locked(std::size_t max_ops) {
+  std::uint64_t to;
+  {
+    std::lock_guard<std::mutex> ring(ring_lock_);
+    // Clamp on the occupancy, not `applied_ + max_ops` — the latter wraps
+    // when commit() passes kAllOps.
+    to = applied_ + std::min<std::uint64_t>(head_ - applied_, max_ops);
+  }
   const std::uint64_t from = tail_;
-  // Clamp on the occupancy, not `from + max_ops` — the latter wraps when
-  // commit()/flush() pass SIZE_MAX and would march tail_ backward.
-  const std::uint64_t take =
-      std::min<std::uint64_t>(head_ - from, max_ops);
-  const std::uint64_t to = from + take;
-  ring_lock_.unlock();
-  if (from == to) return 0;
+  if (to == from) return 0;
 
-  // Apply in acknowledgment order.  Slots in [from, to) are stable:
-  // producers cannot reuse them until tail_ advances past, below.
-  // `watermark` mirrors, in the same op order, exactly what record_put /
-  // record_discard did to acked_index_ — so a fully drained ring always
-  // reads acked_index == synced_index, whatever ops a window happens to
-  // end on (a collect leaves the put high-water alone on both sides).
-  CheckpointIndex watermark = synced_index_.load(std::memory_order_relaxed);
-  for (std::uint64_t seq = from; seq < to; ++seq) {
-    const Slot& slot = ring_[static_cast<std::size_t>(seq & ring_mask_)];
-    switch (slot.kind) {
-      case Slot::Kind::kPut: {
-        const std::size_t s = static_cast<std::size_t>(slot.index) & shard_mask_;
-        if (touched_[s] == 0) {
-          stripes_[s]->begin_batch();
-          touched_[s] = 1;
-        }
-        if (scratch_dv_.size() != slot.dv_size)
-          scratch_dv_ = causality::DependencyVector(slot.dv_size);
-        if (slot.dv_size > 0)
-          std::memcpy(&scratch_dv_.at(0), slot.dv.data(),
-                      slot.dv_size * sizeof(IntervalIndex));
-        stripes_[s]->put(slot.index, scratch_dv_, slot.stored_at, slot.bytes);
-        durable_bytes_ += slot.bytes;
-        ++durable_count_;
-        ++durable_stats_.stored;
-        durable_stats_.peak_count =
-            std::max(durable_stats_.peak_count, durable_count_);
-        durable_stats_.peak_bytes =
-            std::max(durable_stats_.peak_bytes, durable_bytes_);
-        watermark = slot.index;
-        break;
-      }
-      case Slot::Kind::kCollect: {
-        const std::size_t s = static_cast<std::size_t>(slot.index) & shard_mask_;
-        if (touched_[s] == 0) {
-          stripes_[s]->begin_batch();
-          touched_[s] = 1;
-        }
-        stripes_[s]->collect(slot.index);
-        durable_bytes_ -= slot.bytes;
-        --durable_count_;
-        ++durable_stats_.collected;
-        break;
-      }
-      case Slot::Kind::kDiscardAfter: {
-        for (std::size_t s = 0; s < stripes_.size(); ++s) {
-          if (touched_[s] == 0) {
-            stripes_[s]->begin_batch();
-            touched_[s] = 1;
-          }
-          stripes_[s]->discard_after(slot.index);
-        }
-        durable_bytes_ -= slot.bytes;
-        durable_count_ -= slot.discarded;
-        durable_stats_.discarded += slot.discarded;
-        watermark = slot.index;  // the lineage truncated to ri
-        break;
-      }
+  // Apply in acknowledgment order.  Slots in [applied_, to) are stable:
+  // the producer cannot reuse them until tail_ advances past, below.
+  backend_.begin_batch();
+  try {
+    for (; applied_ < to; ++applied_)
+      apply(ring_[static_cast<std::size_t>(applied_ & ring_mask_)]);
+  } catch (...) {
+    // Close the bracket; the ops applied so far stay applied, and the next
+    // drain resumes at the one that threw.
+    try {
+      backend_.end_batch(/*durable=*/false);
+    } catch (...) {
+      // The first error is the one to report; the backend keeps whatever
+      // it could not emit for the retry.
     }
+    throw;
   }
+  // One coalesced emit + durability point.  Both backends close the bracket
+  // before any I/O, so a throw here leaves it closed and applied_ ahead of
+  // tail_: the retry re-syncs without re-applying.
+  backend_.end_batch(/*durable=*/true);
 
-  // One coalesced emit + durability point per touched stripe, then the
-  // meta counters — stripes first so a (modeled) crash between the two
-  // leaves meta one commit behind its stripes never ahead of them; the
-  // object-drop crash model completes the whole drain either way.
-  for (std::size_t s = 0; s < stripes_.size(); ++s) {
-    if (touched_[s] != 0) {
-      stripes_[s]->end_batch(/*durable=*/true);
-      touched_[s] = 0;
-    }
+  {
+    std::lock_guard<std::mutex> ring(ring_lock_);
+    tail_ = to;
   }
-  publish_meta_(durable_stats_);
-
-  ring_lock_.lock();
-  tail_ = to;
-  ring_lock_.unlock();
   synced_ops_.fetch_add(to - from, std::memory_order_relaxed);
-  synced_index_.store(watermark, std::memory_order_relaxed);
+  synced_index_.store(applied_index_, std::memory_order_relaxed);
   commits_.fetch_add(1, std::memory_order_relaxed);
   return static_cast<std::size_t>(to - from);
 }
 
 void DurabilityPipeline::commit() {
-  drain_some(std::numeric_limits<std::size_t>::max());
+  std::lock_guard<std::mutex> drain(drain_lock_);
+  if (writer_error_) std::rethrow_exception(std::exchange(writer_error_, {}));
+  drain_locked(kAllOps);
+  writer_stopped_ = false;
 }
 
-void DurabilityPipeline::flush() {
-  // Drain until the ring is empty.  A concurrent writer pass holds
-  // drain_lock_, so drain_some() naturally waits for it; mutators are
-  // quiescent by the flush contract, so emptiness is stable once reached.
-  for (;;) {
-    drain_some(std::numeric_limits<std::size_t>::max());
-    ring_lock_.lock();
-    const bool empty = head_ == tail_;
-    ring_lock_.unlock();
-    if (empty) return;
+void DurabilityPipeline::reset_after_recover(CheckpointIndex last_index) {
+  std::lock_guard<std::mutex> drain(drain_lock_);
+  {
+    std::lock_guard<std::mutex> ring(ring_lock_);
+    RDTGC_EXPECTS(head_ == tail_);  // recover() runs before any mutation
   }
-}
-
-void DurabilityPipeline::reset_after_recover(CheckpointIndex last_index,
-                                             const StoreStats& stats,
-                                             std::size_t count,
-                                             std::uint64_t bytes) {
-  std::lock_guard<util::SpinLock> drain(drain_lock_);
-  ring_lock_.lock();
-  RDTGC_EXPECTS(head_ == tail_);  // recover() runs before any mutation
-  ring_lock_.unlock();
-  durable_stats_ = stats;
-  durable_count_ = count;
-  durable_bytes_ = bytes;
   acked_ops_.store(0, std::memory_order_relaxed);
   synced_ops_.store(0, std::memory_order_relaxed);
   acked_index_.store(last_index, std::memory_order_relaxed);
   synced_index_.store(last_index, std::memory_order_relaxed);
+  applied_index_ = last_index;
 }
 
 DurabilityStatus DurabilityPipeline::status() const {
@@ -266,8 +210,21 @@ DurabilityStatus DurabilityPipeline::status() const {
 
 void DurabilityPipeline::writer_main() {
   while (!stop_.load(std::memory_order_acquire)) {
-    if (drain_some(std::max<std::size_t>(policy_.every_k_ops, 1)) == 0)
-      std::this_thread::sleep_for(kWriterIdleNap);
+    std::size_t drained = 0;
+    {
+      std::lock_guard<std::mutex> drain(drain_lock_);
+      if (!writer_stopped_) {
+        try {
+          drained = drain_locked(policy_.every_k_ops);
+        } catch (...) {
+          // Hand the failure to the caller's thread (the next commit())
+          // and stop draining until a caller-side commit succeeds.
+          writer_error_ = std::current_exception();
+          writer_stopped_ = true;
+        }
+      }
+    }
+    if (drained == 0) std::this_thread::sleep_for(kWriterIdleNap);
   }
 }
 

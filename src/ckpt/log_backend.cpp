@@ -300,6 +300,10 @@ std::size_t LogStructuredBackend::recover() {
   std::uint64_t off = sizeof(LogHeader);
   std::uint64_t records = 0;
   causality::DependencyVector dv(dv_width_ == kWidthUnset ? 0 : dv_width_);
+  // A compaction of an empty live set leaves no baseline puts to count off:
+  // its snapshot applies before the first record (for a log never compacted
+  // the snapshot is all zeros).
+  if (baseline_records_ == 0) mem_.restore_stats(h.stats.to_stats());
   while (true) {
     RecordHeader rec{};
     if (!pread_exact(fd_, &rec, sizeof(rec), off, path_)) break;  // torn tail

@@ -1,4 +1,4 @@
-// Log-structured persistence for one checkpoint-store stripe.
+// Log-structured persistence for one process's checkpoint store.
 //
 // The medium is an append-only operation log:
 //
@@ -32,7 +32,7 @@
 // record magic/length and truncated away.
 //
 // Reads are served by a full in-memory CheckpointStore mirror, as in the
-// mmap backend.  The DV width is fixed per stripe at the first put().
+// mmap backend.  The DV width is fixed per log at the first put().
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,4 @@
-// Mmap'd-file persistence for one checkpoint-store stripe.
+// Mmap'd-file persistence for one process's checkpoint store.
 //
 // File layout (all integers little-endian host order, 8-byte aligned):
 //
@@ -37,13 +37,15 @@
 // stored_indices, stats — is served by the mirror at flat-store speed,
 // while dv_view() reads the mapped file itself so tests can catch a
 // serialization mismatch between the two.  recover() rebuilds the mirror
-// by scanning the committed live slots (their file order is ascending in
-// index, see the append argument in sharded_checkpoint_store.hpp) and then
+// by scanning the committed live slots — their file order is ascending in
+// index, because puts are strictly increasing within a lineage and a
+// rollback kills the whole suffix above its restore point before any index
+// is reused, so the scan replays straight into the mirror — and then
 // restores the lifetime counters persisted in the header — the header is
 // write-through on every mutation, so an unclean drop loses nothing but
 // the msync durability point.
 //
-// The dependency-vector width is fixed per stripe at the first put();
+// The dependency-vector width is fixed per segment at the first put();
 // storing vectors of a different width is a contract violation.
 #pragma once
 
@@ -133,7 +135,7 @@ class MmapFileBackend final : public StorageBackend {
   std::byte* slot_at(std::uint64_t slot);
   const std::byte* slot_at(std::uint64_t slot) const;
 
-  /// Fix the per-stripe DV width on first put; verify it afterwards.
+  /// Fix the segment's DV width on first put; verify it afterwards.
   void ensure_width(std::size_t width);
   /// Make room for one more slot: in-place compaction when half the slots
   /// are dead, geometric growth otherwise.  May throw IoError (growth);

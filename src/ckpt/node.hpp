@@ -50,7 +50,7 @@ class Node {
     ///    reopens the media (ShardedCheckpointStore::recover()), restores
     ///    its dependency vector from the last surviving checkpoint, resumes
     ///    interval numbering past the highest persisted index, and rebuilds
-    ///    the collector's state from the recovered per-stripe DV views
+    ///    the collector's state from the recovered DV views
     ///    (GarbageCollector::on_attach).  A cluster-wide restart couples
     ///    this with recovery::recovery_line_from_storage: attach every
     ///    process, compute the Lemma-1 line over the recovered stores, then

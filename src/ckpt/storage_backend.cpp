@@ -35,32 +35,25 @@ const char* durability_mode_name(DurabilityMode mode) {
   return "?";
 }
 
-std::string StorageConfig::stripe_file(ProcessId owner,
-                                       std::size_t stripe) const {
+std::string StorageConfig::file(ProcessId owner) const {
   const char* ext = kind == StorageBackendKind::kMmapFile ? ".seg" : ".log";
-  return directory + "/p" + std::to_string(owner) + "_s" +
-         std::to_string(stripe) + ext;
-}
-
-std::string StorageConfig::meta_file(ProcessId owner) const {
-  return directory + "/p" + std::to_string(owner) + ".meta";
+  return directory + "/p" + std::to_string(owner) + ext;
 }
 
 std::unique_ptr<StorageBackend> make_backend(const StorageConfig& config,
-                                             ProcessId owner,
-                                             std::size_t stripe) {
+                                             ProcessId owner) {
   switch (config.kind) {
     case StorageBackendKind::kInMemory:
       return std::make_unique<CheckpointStore>(owner);
     case StorageBackendKind::kMmapFile:
       RDTGC_EXPECTS(!config.directory.empty());
       return std::make_unique<MmapFileBackend>(
-          owner, config.stripe_file(owner, stripe), config.open_mode,
+          owner, config.file(owner), config.open_mode,
           config.initial_slots);
     case StorageBackendKind::kLogStructured:
       RDTGC_EXPECTS(!config.directory.empty());
       return std::make_unique<LogStructuredBackend>(
-          owner, config.stripe_file(owner, stripe), config.open_mode,
+          owner, config.file(owner), config.open_mode,
           config.compact_min_records, config.compact_dead_ratio);
   }
   RDTGC_ASSERT(false);

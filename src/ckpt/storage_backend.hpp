@@ -1,9 +1,8 @@
-// Pluggable persistence behind the per-stripe checkpoint store.
+// Pluggable persistence behind the per-process checkpoint store.
 //
 // The paper's Theorem-1-optimal GC reclaims *stable storage*; this trait is
-// where stable storage actually lives.  Every stripe of a
-// ShardedCheckpointStore is one StorageBackend, and three implementations
-// exist:
+// where stable storage actually lives.  A ShardedCheckpointStore holds one
+// StorageBackend per process, and three implementations exist:
 //
 //  * ckpt::CheckpointStore (checkpoint_store.hpp) — the in-memory flat
 //    store, unchanged zero-allocation hot path; the reference every other
@@ -11,7 +10,7 @@
 //    of them through one randomized trace and requires bit-identical
 //    observable state);
 //  * ckpt::MmapFileBackend (mmap_backend.hpp) — one mmap'd segment file per
-//    stripe: fixed header, fixed-size checkpoint slots appended with their
+//    process: fixed header, fixed-size checkpoint slots appended with their
 //    dependency vectors, GC eliminations clear a live flag in place, the
 //    mapping grows geometrically via remap;
 //  * ckpt::LogStructuredBackend (log_backend.hpp) — an append-only log of
@@ -22,6 +21,9 @@
 // Contract highlights shared by all implementations:
 //  * observable state (stored_indices(), stats(), retrieved DVs) follows the
 //    flat store's documented semantics exactly;
+//  * persistent backends carry their lifetime StoreStats in their own file
+//    header, so a reopened medium restores the counters without any side
+//    file;
 //  * recover() rebuilds the in-memory index from the persistent medium of a
 //    backend opened with OpenMode::kAttach; on a live backend it is a no-op
 //    returning count().  Persistent backends reject mutations until the
@@ -29,8 +31,8 @@
 //  * flush() is the durability point (msync/fsync); dropping a backend
 //    without it models a crash — the page-cache contents survive, and
 //    recover() must reconstruct from whatever reached the file.  Under a
-//    non-kSync DurabilityPolicy the sharded store additionally holds a
-//    window of acknowledged-but-unapplied mutations (durability_pipeline.hpp);
+//    non-kSync DurabilityPolicy the store additionally holds a window of
+//    acknowledged-but-unapplied mutations (durability_pipeline.hpp);
 //    dropping the STORE discards that window, and recovery lands on the
 //    consistent prefix the last group commit established;
 //  * dv_view() exposes the stored dependency vector without forcing a copy
@@ -38,8 +40,8 @@
 //
 // Virtual dispatch is deliberate: the churn path may pay an indirect call
 // but must never allocate through the trait for the in-memory backend
-// (tests/hot_path_test.cpp enforces it), and the ShardedCheckpointStore
-// keeps a devirtualized fast path for the default in-memory stripes.
+// (tests/hot_path_test.cpp enforces it), and the store calls its in-memory
+// CheckpointStore directly, so the default configuration devirtualizes.
 #pragma once
 
 #include <cstdint>
@@ -73,9 +75,8 @@ struct StoreStats {
 };
 
 /// Fixed-width on-disk image of StoreStats, embedded verbatim in every
-/// persistent header (mmap segment, log, store meta) so the counters are
-/// converted by one pair of helpers instead of a hand-copied field list per
-/// header.  Growing StoreStats means extending this struct and bumping the
+/// persistent header (mmap segment, log) so the counters are converted by
+/// one pair of helpers instead of a hand-copied field list per header.  Growing StoreStats means extending this struct and bumping the
 /// file-format versions.
 struct PersistedStoreStats {
   std::uint64_t stored = 0;
@@ -104,11 +105,11 @@ struct PersistedStoreStats {
   }
 };
 
-/// Which persistence medium a store (stripe) writes to.
+/// Which persistence medium a store writes to.
 enum class StorageBackendKind {
   kInMemory,       ///< flat vectors, no persistence (the reference)
-  kMmapFile,       ///< mmap'd slot segment per stripe
-  kLogStructured,  ///< append-only log + compaction per stripe
+  kMmapFile,       ///< mmap'd slot segment
+  kLogStructured,  ///< append-only log + compaction
 };
 
 /// Human-readable backend name for tables, logs, and bench labels.
@@ -131,9 +132,9 @@ enum class DurabilityMode {
   kSync,
   /// Mutations are acknowledged from the in-memory mirror and batched; a
   /// GROUP COMMIT — applying the whole window to the media with coalesced
-  /// writes and one sync per touched stripe — runs inline on the
-  /// triggering operation every `every_k_ops` mutations (and, when
-  /// `every_checkpoint` is set, on every put).
+  /// writes and one sync — runs inline on the triggering operation every
+  /// `every_k_ops` mutations (and, when `every_checkpoint` is set, on every
+  /// put).
   kGroupCommit,
   /// As kGroupCommit, but the windows drain on a dedicated background
   /// writer thread so no mutation ever blocks on media; `every_k_ops`
@@ -144,7 +145,7 @@ enum class DurabilityMode {
 /// Human-readable mode name for tables, logs, and bench labels.
 const char* durability_mode_name(DurabilityMode mode);
 
-/// The latency/durability knob of a store's persistent stripes.
+/// The latency/durability knob of a store's persistent medium.
 struct DurabilityPolicy {
   DurabilityMode mode = DurabilityMode::kSync;
   /// Group-commit window: commit after this many acknowledged mutations
@@ -166,8 +167,8 @@ struct DurabilityPolicy {
 /// Construction-time storage choice for a ShardedCheckpointStore (and
 /// through ckpt::Node::Config / harness::SystemConfig, for every process of
 /// a simulated system).  `directory` must name an existing, writable
-/// directory for the persistent kinds; files are per (owner, stripe) so any
-/// number of processes may share one directory.
+/// directory for the persistent kinds; files are per owner, so any number
+/// of processes may share one directory.
 struct StorageConfig {
   StorageBackendKind kind = StorageBackendKind::kInMemory;
   std::string directory;
@@ -183,10 +184,9 @@ struct StorageConfig {
   /// byte-for-byte.
   DurabilityPolicy durability;
 
-  /// Segment/log path of one stripe: directory/p<owner>_s<stripe>.<ext>.
-  std::string stripe_file(ProcessId owner, std::size_t stripe) const;
-  /// Path of the store-global meta segment: directory/p<owner>.meta.
-  std::string meta_file(ProcessId owner) const;
+  /// The one media file of `owner`'s store: directory/p<owner>.seg (mmap)
+  /// or directory/p<owner>.log (log).
+  std::string file(ProcessId owner) const;
 };
 
 class StorageBackend {
@@ -262,8 +262,8 @@ class StorageBackend {
 
   // ---- Coalesced-batch protocol (durability pipeline drains) ----
   //
-  // A DurabilityPipeline drain brackets the mutations it replays into one
-  // stripe with begin_batch()/end_batch(): between the two the backend may
+  // A DurabilityPipeline drain brackets the mutations it replays with
+  // begin_batch()/end_batch(): between the two the backend may
   // buffer its medium writes, and end_batch() emits them with as few
   // syscalls as it can manage (the log backend turns a whole window of
   // records into ONE pwrite), then makes them durable when `durable` is
@@ -271,7 +271,9 @@ class StorageBackend {
   // the medium as usual) with end_batch deferring to flush(), which is
   // correct for every backend; overriding is purely an optimization.
   // Batches never nest and end_batch always runs (the pipeline owns the
-  // bracket).
+  // bracket).  end_batch closes the bracket before its first I/O, so a
+  // throw from it leaves the bracket closed, and whatever it could not
+  // emit or sync is retried by the next end_batch.
 
   virtual void begin_batch() {}
   virtual void end_batch(bool durable) {
@@ -279,10 +281,8 @@ class StorageBackend {
   }
 };
 
-/// Instantiate the backend `config` selects for stripe `stripe` of process
-/// `owner`'s store.
+/// Instantiate the backend `config` selects for process `owner`'s store.
 std::unique_ptr<StorageBackend> make_backend(const StorageConfig& config,
-                                             ProcessId owner,
-                                             std::size_t stripe);
+                                             ProcessId owner);
 
 }  // namespace rdtgc::ckpt

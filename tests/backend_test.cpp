@@ -1,8 +1,9 @@
 // Storage-backend contract tests: every persistence backend behind the
-// ckpt::StorageBackend trait — in-memory flat (the reference), sharded
-// in-memory, mmap'd segment, log-structured — is driven through the shared
-// test::RandomStoreTrace harness and must present bit-identical observable
-// state (indices, counters, stats, DV contents), including across
+// ckpt::StorageBackend trait — in-memory flat (the reference), the
+// in-memory per-process store, mmap'd segment, log-structured — is driven
+// through the shared test::RandomStoreTrace harness and must present
+// bit-identical observable state (indices, counters, stats, DV contents),
+// including across
 // mid-trace reopens and after crash-style drops reopened via recover().
 //
 // The recovery tests close the loop to the paper: a full system run
@@ -65,16 +66,15 @@ bool forced_async_durability() {
 // ---- One trace, four backends, equal after every op -----------------------
 
 /// The tentpole property: an identical randomized schedule through the flat
-/// reference, the sharded in-memory store, the mmap backend, and the
+/// reference, the in-memory per-process store, the mmap backend, and the
 /// log-structured backend yields identical observable state after every
 /// operation.  `reopen_probability > 0` additionally drops and reopens the
 /// persistent stores at random points (recover() mid-schedule), alternating
 /// clean flushes with unclean drops.
-void run_four_backend_trace(std::size_t shard_count, std::uint64_t seed,
-                            double reopen_probability) {
+void run_four_backend_trace(std::uint64_t seed, double reopen_probability) {
   const RandomStoreTrace trace(seed);
   CheckpointStore flat(5);
-  ShardedCheckpointStore memory(5, shard_count);
+  ShardedCheckpointStore memory(5);
 
   ScratchDir mmap_dir("mmap_eq");
   ScratchDir log_dir("log_eq");
@@ -83,9 +83,11 @@ void run_four_backend_trace(std::size_t shard_count, std::uint64_t seed,
   StorageConfig log_cfg =
       persistent_config(StorageBackendKind::kLogStructured, log_dir.path());
   auto mmap_store = std::make_unique<ShardedCheckpointStore>(
-      5, shard_count, ckpt::StoreConcurrency::kUnsynchronized, mmap_cfg);
+      5, ShardedCheckpointStore::kDefaultShardCount,
+      ckpt::StoreConcurrency::kUnsynchronized, mmap_cfg);
   auto log_store = std::make_unique<ShardedCheckpointStore>(
-      5, shard_count, ckpt::StoreConcurrency::kUnsynchronized, log_cfg);
+      5, ShardedCheckpointStore::kDefaultShardCount,
+      ckpt::StoreConcurrency::kUnsynchronized, log_cfg);
   mmap_cfg.open_mode = OpenMode::kAttach;
   log_cfg.open_mode = OpenMode::kAttach;
 
@@ -115,9 +117,11 @@ void run_four_backend_trace(std::size_t shard_count, std::uint64_t seed,
       mmap_store.reset();
       log_store.reset();
       mmap_store = std::make_unique<ShardedCheckpointStore>(
-          5, shard_count, ckpt::StoreConcurrency::kUnsynchronized, mmap_cfg);
+          5, ShardedCheckpointStore::kDefaultShardCount,
+          ckpt::StoreConcurrency::kUnsynchronized, mmap_cfg);
       log_store = std::make_unique<ShardedCheckpointStore>(
-          5, shard_count, ckpt::StoreConcurrency::kUnsynchronized, log_cfg);
+          5, ShardedCheckpointStore::kDefaultShardCount,
+          ckpt::StoreConcurrency::kUnsynchronized, log_cfg);
       ASSERT_EQ(mmap_store->recover(), flat.count());
       ASSERT_EQ(log_store->recover(), flat.count());
       test::expect_stores_equal(flat, *mmap_store);
@@ -128,14 +132,14 @@ void run_four_backend_trace(std::size_t shard_count, std::uint64_t seed,
 }
 
 TEST(BackendEquivalence, AllBackendsMatchFlatReferenceOnRandomizedTraces) {
-  run_four_backend_trace(1, 20260726, 0.0);
-  run_four_backend_trace(ShardedCheckpointStore::kDefaultShardCount, 97, 0.0);
-  run_four_backend_trace(16, 7, 0.0);
+  run_four_backend_trace(20260726, 0.0);
+  run_four_backend_trace(97, 0.0);
+  run_four_backend_trace(7, 0.0);
 }
 
 TEST(BackendEquivalence, MidTraceReopenSchedulesKeepEquivalence) {
-  run_four_backend_trace(ShardedCheckpointStore::kDefaultShardCount, 41, 0.05);
-  run_four_backend_trace(1, 13, 0.08);
+  run_four_backend_trace(41, 0.05);
+  run_four_backend_trace(13, 0.08);
 }
 
 // ---- Crash-style recovery at the trace level ------------------------------
@@ -186,7 +190,7 @@ TEST(BackendRecovery, LogRecoversAfterUncleanDrop) {
 
 TEST(MmapBackend, SegmentGrowsAndTracksSlots) {
   ScratchDir dir("mmap_grow");
-  ckpt::MmapFileBackend backend(0, dir.path() + "/p0_s0.seg",
+  ckpt::MmapFileBackend backend(0, dir.path() + "/p0.seg",
                                 OpenMode::kFresh, 2);
   causality::DependencyVector dv(3);
   for (CheckpointIndex i = 0; i < 10; ++i) {
@@ -212,7 +216,7 @@ TEST(MmapBackend, DeadSlotsAreCompactedInPlaceSoTheSegmentStaysBounded) {
   // the live slots to the front when half are dead) must bound both the
   // capacity and the recover() scan at ~2x the live set.
   ScratchDir dir("mmap_bound");
-  const std::string path = dir.path() + "/p0_s0.seg";
+  const std::string path = dir.path() + "/p0.seg";
   CheckpointStore reference(0);
   ckpt::MmapFileBackend backend(0, path, OpenMode::kFresh, 4);
   causality::DependencyVector dv(3);
@@ -242,7 +246,7 @@ TEST(MmapBackend, DeadSlotsAreCompactedInPlaceSoTheSegmentStaysBounded) {
 
 TEST(MmapBackend, CleanFlagSurvivesExactlyUntilTheNextMutation) {
   ScratchDir dir("mmap_clean");
-  const std::string path = dir.path() + "/p0_s0.seg";
+  const std::string path = dir.path() + "/p0.seg";
   causality::DependencyVector dv(2);
   {
     ckpt::MmapFileBackend backend(0, path, OpenMode::kFresh, 2);
@@ -265,7 +269,7 @@ TEST(MmapBackend, CleanFlagSurvivesExactlyUntilTheNextMutation) {
 
 TEST(MmapBackend, MutationsBeforeRecoverAreRejected) {
   ScratchDir dir("mmap_pending");
-  const std::string path = dir.path() + "/p0_s0.seg";
+  const std::string path = dir.path() + "/p0.seg";
   causality::DependencyVector dv(2);
   {
     ckpt::MmapFileBackend backend(0, path, OpenMode::kFresh, 2);
@@ -280,7 +284,7 @@ TEST(MmapBackend, MutationsBeforeRecoverAreRejected) {
 
 TEST(LogBackend, CompactionBoundsTheLogAndPreservesState) {
   ScratchDir dir("log_compact");
-  const std::string path = dir.path() + "/p0_s0.log";
+  const std::string path = dir.path() + "/p0.log";
   CheckpointStore reference(0);
   ckpt::LogStructuredBackend backend(0, path, OpenMode::kFresh,
                                      /*compact_min_records=*/8,
@@ -420,13 +424,14 @@ TEST(BackendRecovery, SystemRestartFromLogAfterUncleanStop) {
 // restart critical path (ckpt::Node attach); the failure modes below must be
 // loud errors, never a silently empty line.
 
-/// Attaching to a directory no store ever wrote: the meta file is absent, so
-/// construction itself fails with an I/O error — there is nothing to recover.
+/// Attaching to a directory no store ever wrote: the media file is absent,
+/// so construction itself fails with an I/O error — there is nothing to
+/// recover.
 void attach_empty_directory(StorageBackendKind kind) {
   ScratchDir dir("attach_empty");
   StorageConfig attach = persistent_config(kind, dir.path());
   attach.open_mode = OpenMode::kAttach;
-  EXPECT_THROW(ShardedCheckpointStore(0, 4,
+  EXPECT_THROW(ShardedCheckpointStore(0, 1,
                                       ckpt::StoreConcurrency::kUnsynchronized,
                                       attach),
                util::IoError);
@@ -439,14 +444,13 @@ TEST(BackendRecoveryEdge, AttachEmptyDirectoryLog) {
   attach_empty_directory(StorageBackendKind::kLogStructured);
 }
 
-/// A stripe file deleted out from under a persisted store: the attach open
-/// of the missing stripe must fail with an I/O error rather than recover a
-/// partial set.
-void attach_missing_stripe(StorageBackendKind kind) {
+/// The media file deleted out from under a persisted store: the attach open
+/// must fail with an I/O error rather than recover an empty store.
+void attach_deleted_file(StorageBackendKind kind) {
   ScratchDir dir("attach_torn");
   StorageConfig config = persistent_config(kind, dir.path());
   {
-    ShardedCheckpointStore store(0, 4,
+    ShardedCheckpointStore store(0, 1,
                                  ckpt::StoreConcurrency::kUnsynchronized,
                                  config);
     causality::DependencyVector dv(3);
@@ -456,19 +460,19 @@ void attach_missing_stripe(StorageBackendKind kind) {
     }
     store.flush();
   }
-  ASSERT_EQ(std::remove(config.stripe_file(0, 1).c_str()), 0);
+  ASSERT_EQ(std::remove(config.file(0).c_str()), 0);
   config.open_mode = OpenMode::kAttach;
-  EXPECT_THROW(ShardedCheckpointStore(0, 4,
+  EXPECT_THROW(ShardedCheckpointStore(0, 1,
                                       ckpt::StoreConcurrency::kUnsynchronized,
                                       config),
                util::IoError);
 }
 
-TEST(BackendRecoveryEdge, AttachMissingStripeFileMmap) {
-  attach_missing_stripe(StorageBackendKind::kMmapFile);
+TEST(BackendRecoveryEdge, AttachDeletedMediaFileMmap) {
+  attach_deleted_file(StorageBackendKind::kMmapFile);
 }
-TEST(BackendRecoveryEdge, AttachMissingStripeFileLog) {
-  attach_missing_stripe(StorageBackendKind::kLogStructured);
+TEST(BackendRecoveryEdge, AttachDeletedMediaFileLog) {
+  attach_deleted_file(StorageBackendKind::kLogStructured);
 }
 
 /// A store whose every checkpoint was collected before the crash: the media
@@ -479,7 +483,7 @@ void attach_zero_survivors(StorageBackendKind kind) {
   ScratchDir dir("attach_barren");
   StorageConfig config = persistent_config(kind, dir.path());
   {
-    ShardedCheckpointStore store(0, 4,
+    ShardedCheckpointStore store(0, 1,
                                  ckpt::StoreConcurrency::kUnsynchronized,
                                  config);
     causality::DependencyVector dv(3);
@@ -492,7 +496,7 @@ void attach_zero_survivors(StorageBackendKind kind) {
     store.flush();
   }
   config.open_mode = OpenMode::kAttach;
-  ShardedCheckpointStore reopened(0, 4,
+  ShardedCheckpointStore reopened(0, 1,
                                   ckpt::StoreConcurrency::kUnsynchronized,
                                   config);
   EXPECT_EQ(reopened.recover(), 0u);

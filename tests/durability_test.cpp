@@ -5,12 +5,15 @@
 //    every counter still matches the flat reference after every op (the
 //    acked mirror serves reads), and a flushed store recovers bit-identical;
 //  * group-commit window math — a window of k ops reaches the medium as ONE
-//    fsync (log) / ONE msync (mmap) per touched stripe, pinned via the
-//    backends' introspection counters and the pipeline's commits();
+//    fsync (log) / ONE msync (mmap), pinned via the backends'
+//    introspection counters and the pipeline's commits();
 //  * dirty-flag skip — flush() with nothing written issues no syscall
 //    (regression for the fsyncs()/msyncs() counters);
 //  * flush error paths — an injected fsync/msync failure surfaces as
 //    util::IoError with mirror and medium still coherent;
+//  * commit error paths — a group commit whose sync fails is retried by the
+//    next flush() without re-applying its ops, and a background writer's
+//    I/O error is rethrown on the caller's thread instead of terminating;
 //  * kill inside the window — dropping a store mid-window recovers a
 //    consistent PREFIX of the acknowledged schedule: deterministic (the last
 //    commit boundary) under kGroupCommit, some drain boundary under
@@ -23,10 +26,13 @@
 //  * the metrics::DurabilityLag probe and the sweep-summary plumbing.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -126,8 +132,8 @@ TEST(DurabilityEquivalence, AckedStateMatchesFlatReferenceUnderEveryPolicy) {
 
 // ---- Group-commit window math ---------------------------------------------
 
-/// k puts through a single-stripe log store must reach the medium as ONE
-/// coalesced pwrite + fsync per window, with the lag counting the open tail.
+/// k puts through a log store must reach the medium as ONE coalesced
+/// pwrite + fsync per window, with the lag counting the open tail.
 TEST(GroupCommitWindow, LogCoalescesKOpsIntoOneFsync) {
   constexpr std::size_t kEvery = 4;
   ScratchDir dir("gc_log");
@@ -206,13 +212,13 @@ TEST(GroupCommitWindow, EveryCheckpointCommitsOnPutsAndBatchesCollects) {
 }
 
 /// flush() quiesces the pipeline: acked == synced afterwards and the
-/// durable stripes mirror the acked ones exactly.
+/// durable backend mirrors the acked one exactly.
 TEST(GroupCommitWindow, FlushQuiescesAndDropsLagToZero) {
   ScratchDir dir("gc_flush");
   const StorageConfig config =
       async_config(StorageBackendKind::kLogStructured, dir.path(),
                    DurabilityPolicy::Background(8));
-  ShardedCheckpointStore store(0, 4, ckpt::StoreConcurrency::kUnsynchronized,
+  ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
                                config);
   causality::DependencyVector dv(4);
   for (CheckpointIndex i = 0; i < 37; ++i) store.put(i, dv, 0, 1);
@@ -222,10 +228,8 @@ TEST(GroupCommitWindow, FlushQuiescesAndDropsLagToZero) {
   const ckpt::DurabilityStatus status = store.durability();
   EXPECT_EQ(status.lag_ops(), 0u);
   EXPECT_EQ(status.acked_index, status.synced_index);
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(store.durable_shard(s).stored_indices(),
-              store.shard(s).stored_indices());
-  }
+  EXPECT_EQ(store.durable_shard(0).stored_indices(),
+            store.shard(0).stored_indices());
 }
 
 // ---- Dirty-flag flush skip (regression) -----------------------------------
@@ -235,7 +239,7 @@ TEST(DirtyFlag, LogFlushSkipsFsyncWhenClean) {
   StorageConfig config;
   config.kind = StorageBackendKind::kLogStructured;
   config.directory = dir.path();
-  LogStructuredBackend log(0, config.stripe_file(0, 0), OpenMode::kFresh, 64,
+  LogStructuredBackend log(0, config.file(0), OpenMode::kFresh, 64,
                            0.5);
   causality::DependencyVector dv(4);
 
@@ -258,7 +262,7 @@ TEST(DirtyFlag, MmapFlushSkipsMsyncWhenClean) {
   StorageConfig config;
   config.kind = StorageBackendKind::kMmapFile;
   config.directory = dir.path();
-  MmapFileBackend mmap(0, config.stripe_file(0, 0), OpenMode::kFresh, 4);
+  MmapFileBackend mmap(0, config.file(0), OpenMode::kFresh, 4);
   causality::DependencyVector dv(4);
 
   mmap.put(0, dv, 0, 1);
@@ -282,7 +286,7 @@ TEST(FlushErrors, LogFsyncFailureSurfacesAsIoErrorAndKeepsStateCoherent) {
   StorageConfig config;
   config.kind = StorageBackendKind::kLogStructured;
   config.directory = dir.path();
-  const std::string path = config.stripe_file(0, 0);
+  const std::string path = config.file(0);
   {
     LogStructuredBackend log(0, path, OpenMode::kFresh, 64, 0.5);
     causality::DependencyVector dv(4);
@@ -313,7 +317,7 @@ TEST(FlushErrors, MmapMsyncFailureSurfacesAsIoErrorAndRollsTheCleanFlagBack) {
   StorageConfig config;
   config.kind = StorageBackendKind::kMmapFile;
   config.directory = dir.path();
-  const std::string path = config.stripe_file(0, 0);
+  const std::string path = config.file(0);
   {
     MmapFileBackend mmap(0, path, OpenMode::kFresh, 4);
     causality::DependencyVector dv(4);
@@ -339,6 +343,133 @@ TEST(FlushErrors, MmapMsyncFailureSurfacesAsIoErrorAndRollsTheCleanFlagBack) {
   MmapFileBackend clean(0, path, OpenMode::kAttach, 4);
   ASSERT_EQ(clean.recover(), 1u);
   EXPECT_TRUE(clean.recovered_clean());
+}
+
+// ---- Failed commits ------------------------------------------------------
+
+/// Fails every msync and fsync while installed; counts the attempts.
+std::atomic<int> g_failed_syncs{0};
+int failing_msync(void*, std::size_t, int) {
+  g_failed_syncs.fetch_add(1);
+  errno = EIO;
+  return -1;
+}
+int failing_fsync(int) {
+  g_failed_syncs.fetch_add(1);
+  errno = EIO;
+  return -1;
+}
+void inject_sync_failures(bool on) {
+  util::set_io_msync_for_test(on ? &failing_msync : nullptr);
+  util::set_io_fsync_for_test(on ? &failing_fsync : nullptr);
+}
+
+/// Regression: a group commit whose sync throws must not wedge the store.
+/// The commit fired by the 4th put fails; after the fault clears, flush()
+/// re-syncs the already-applied window instead of re-applying it (which
+/// used to throw ContractViolation on every later commit), and the durable
+/// state equals the acknowledged one, on the medium and after a reopen.
+TEST(CommitErrors, FailedGroupCommitIsRetriedWithoutReapplying) {
+  for (const StorageBackendKind kind : kPersistentKinds) {
+    SCOPED_TRACE(backend_kind_name(kind));
+    ScratchDir dir("commit_retry");
+    StorageConfig config =
+        async_config(kind, dir.path(), DurabilityPolicy::GroupCommit(4));
+    CheckpointStore flat(0);
+    {
+      ShardedCheckpointStore store(
+          0, ShardedCheckpointStore::kDefaultShardCount,
+          ckpt::StoreConcurrency::kUnsynchronized, config);
+      causality::DependencyVector dv(4);
+      for (CheckpointIndex i = 0; i < 3; ++i) {
+        dv.at(0) = i;
+        store.put(i, dv, 0, 1);
+        flat.put(i, dv, 0, 1);
+      }
+      inject_sync_failures(true);
+      dv.at(0) = 3;
+      EXPECT_THROW(store.put(3, dv, 0, 1), util::IoError);
+      inject_sync_failures(false);
+      flat.put(3, dv, 0, 1);  // the put was acknowledged before the commit
+
+      store.flush();
+      EXPECT_EQ(store.durability().lag_ops(), 0u);
+      test::expect_stores_equal(flat, store);
+      test::expect_stores_equal(flat, store.durable_shard(0));
+
+      // The store keeps committing normally afterwards.
+      for (CheckpointIndex i = 4; i < 10; ++i) {
+        store.put(i, dv, 0, 1);
+        flat.put(i, dv, 0, 1);
+      }
+      store.collect(2);
+      flat.collect(2);
+      store.flush();
+      test::expect_stores_equal(flat, store.durable_shard(0));
+    }
+    config.open_mode = OpenMode::kAttach;
+    ShardedCheckpointStore reopened(
+        0, ShardedCheckpointStore::kDefaultShardCount,
+        ckpt::StoreConcurrency::kUnsynchronized, config);
+    ASSERT_EQ(reopened.recover(), flat.count());
+    test::expect_stores_equal(flat, reopened);
+  }
+}
+
+/// Regression: an I/O error on the background writer's thread used to
+/// escape writer_main and terminate the process.  The writer now stores it
+/// and stops draining; flush() rethrows it on the caller's thread, and once
+/// the fault clears the next flush() drains everything and restarts the
+/// writer.
+TEST(CommitErrors, BackgroundWriterErrorIsRethrownByFlush) {
+  ScratchDir dir("writer_error");
+  StorageConfig config = async_config(StorageBackendKind::kMmapFile,
+                                      dir.path(), DurabilityPolicy::Background(4));
+  CheckpointStore flat(0);
+  {
+    ShardedCheckpointStore store(
+        0, ShardedCheckpointStore::kDefaultShardCount,
+        ckpt::StoreConcurrency::kUnsynchronized, config);
+    causality::DependencyVector dv(4);
+    g_failed_syncs.store(0);
+    inject_sync_failures(true);
+    for (CheckpointIndex i = 0; i < 8; ++i) {
+      dv.at(0) = i;
+      store.put(i, dv, 0, 1);
+      flat.put(i, dv, 0, 1);
+    }
+    // Puts never sync under kBackground, so the first failed sync is the
+    // writer's; it stores the error before releasing the drain lock that
+    // flush() needs.
+    while (g_failed_syncs.load() == 0) std::this_thread::yield();
+    EXPECT_THROW(store.flush(), util::IoError);
+    inject_sync_failures(false);
+
+    store.flush();
+    EXPECT_EQ(store.durability().lag_ops(), 0u);
+    test::expect_stores_equal(flat, store.durable_shard(0));
+
+    // The writer drains again after the successful flush.
+    for (CheckpointIndex i = 8; i < 40; ++i) {
+      store.put(i, dv, 0, 1);
+      flat.put(i, dv, 0, 1);
+    }
+    const std::uint64_t commits = store.pipeline()->commits();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (store.durability().lag_ops() > 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    EXPECT_EQ(store.durability().lag_ops(), 0u) << "the writer did not resume";
+    EXPECT_GT(store.pipeline()->commits(), commits);
+    store.flush();
+  }
+  config.open_mode = OpenMode::kAttach;
+  ShardedCheckpointStore reopened(0, ShardedCheckpointStore::kDefaultShardCount,
+                                  ckpt::StoreConcurrency::kUnsynchronized,
+                                  config);
+  ASSERT_EQ(reopened.recover(), flat.count());
+  test::expect_stores_equal(flat, reopened);
 }
 
 // ---- Kill inside the window -----------------------------------------------

@@ -18,9 +18,10 @@
 // The storage harness:
 //  * RandomStoreTrace          — one seeded randomized put/collect/discard
 //                                schedule, replayable into ANY store-shaped
-//                                object (flat CheckpointStore, sharded
-//                                store, or a bare StorageBackend) so the
-//                                same trace drives every implementation;
+//                                object (flat CheckpointStore, the
+//                                per-process store, or a bare
+//                                StorageBackend) so the same trace drives
+//                                every implementation;
 //  * expect_stores_equal       — the full observable-state comparison
 //                                (indices, counters, stats, DV contents)
 //                                used by every backend-equivalence test;
@@ -223,9 +224,8 @@ inline std::unique_ptr<harness::System> run_workload(const RunSpec& spec) {
 /// IDENTICAL operation sequence, including the same mix of value-put and
 /// copy-in-put overloads) and maintains a live set the way the middleware
 /// does: puts are strictly increasing within a lineage with occasional
-/// index gaps (stripes fill unevenly), collects hit a random live
-/// checkpoint (GC eliminations), and a discard_after rolls the lineage back
-/// and may reuse indices.  Put payloads (DV contents, byte sizes,
+/// index gaps, collects hit a random live checkpoint (GC eliminations), and
+/// a discard_after rolls the lineage back and may reuse indices.  Put payloads (DV contents, byte sizes,
 /// timestamps) are deterministic functions of the op, so two replays store
 /// bit-identical data.
 class RandomStoreTrace {
@@ -248,7 +248,7 @@ class RandomStoreTrace {
     for (int step = 0; step < steps; ++step) {
       const double dice = rng.uniform01();
       if (live.empty() || dice < 0.55) {
-        // put: sometimes skip indices so stripes fill unevenly.
+        // put: sometimes skip indices so the index space is sparse.
         next += static_cast<CheckpointIndex>(1 + rng.uniform(3));
         Op op;
         op.kind = rng.bernoulli(0.5) ? Op::Kind::kPut : Op::Kind::kPutCopyIn;
@@ -285,8 +285,8 @@ class RandomStoreTrace {
     return dv;
   }
 
-  /// Apply one op to any store-shaped object (flat store, sharded store, or
-  /// a bare StorageBackend — they share the mutation signatures).
+  /// Apply one op to any store-shaped object (flat store, per-process
+  /// store, or a bare StorageBackend — they share the mutation signatures).
   template <typename Store>
   void apply(const Op& op, Store& store) const {
     switch (op.kind) {
@@ -384,15 +384,15 @@ bool stores_match(const Reference& reference, const Store& store) {
 /// dropped mid-window must recover to the state after SOME prefix of the
 /// acknowledged schedule — never a reordering, never a gap.  Replays
 /// `trace`'s schedule op by op into a fresh in-memory reference (same owner
-/// and stripe count as `store`) and asserts the recovered `store` matches
-/// one of the intermediate states, at or after `at_least` applied ops and at
-/// most `applied` (the ops acknowledged before the drop).  Returns the
+/// as `store`) and asserts the recovered `store` matches one of the
+/// intermediate states, at or after `at_least` applied ops and at most
+/// `applied` (the ops acknowledged before the drop).  Returns the
 /// prefix length found.
 template <typename Store>
 std::size_t expect_consistent_prefix(const RandomStoreTrace& trace,
                                      const Store& store, std::size_t applied,
                                      std::size_t at_least = 0) {
-  ckpt::ShardedCheckpointStore reference(store.owner(), store.shard_count());
+  ckpt::ShardedCheckpointStore reference(store.owner());
   applied = std::min(applied, trace.ops().size());
   std::size_t prefix = 0;
   if (at_least == 0 && stores_match(reference, store)) return 0;
