@@ -340,7 +340,8 @@ BENCHMARK(BM_BackendChurnLog)->Arg(4)->Arg(64);
 //    durability point (flush: fsync/msync) after EVERY op, i.e. "durable
 //    when acknowledged" paid inline; k >= 1 batches k ops into one
 //    coalesced emit + durability point.  The /0 vs /16
-//    ratio is the headline per-op saving of the pipeline.  These families
+//    ratio is the headline per-op saving of the pipeline, and /32 pairs
+//    with BM_BackgroundChurn*/32 (same window, writer thread or not).  These families
 //    block on media, so wall clock (UseRealTime) is the figure of merit —
 //    cpu_time would hide exactly the wait the pipeline removes;
 //  * BM_BackgroundChurn{Log,Mmap} — the same churn under kBackground: the
@@ -399,8 +400,10 @@ void BM_GroupCommitMmap(benchmark::State& state) {
   BM_DurabilityChurn(state, ckpt::StorageBackendKind::kMmapFile,
                      group_commit_arg(state.range(0)));
 }
-BENCHMARK(BM_GroupCommitLog)->Arg(0)->Arg(4)->Arg(16)->Arg(64)->UseRealTime();
-BENCHMARK(BM_GroupCommitMmap)->Arg(0)->Arg(4)->Arg(16)->Arg(64)->UseRealTime();
+BENCHMARK(BM_GroupCommitLog)
+    ->Arg(0)->Arg(4)->Arg(16)->Arg(32)->Arg(64)->UseRealTime();
+BENCHMARK(BM_GroupCommitMmap)
+    ->Arg(0)->Arg(4)->Arg(16)->Arg(32)->Arg(64)->UseRealTime();
 
 void BM_BackgroundChurnLog(benchmark::State& state) {
   BM_DurabilityChurn(

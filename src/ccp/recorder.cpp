@@ -76,18 +76,18 @@ sim::MessageId CcpRecorder::new_message_id() {
   return messages_.size();
 }
 
-void CcpRecorder::append_checkpoint(ProcessId p, CheckpointIndex idx,
-                                    std::span<const IntervalIndex> row,
+void CcpRecorder::record_checkpoint(ProcessId p, CheckpointIndex idx,
+                                    const causality::DependencyVector& dv,
                                     CheckpointKind kind, SimTime t) {
   RDTGC_EXPECTS(p >= 0 && static_cast<std::size_t>(p) < checkpoints_.size());
   auto& list = checkpoints_[static_cast<std::size_t>(p)];
   RDTGC_EXPECTS(idx == static_cast<CheckpointIndex>(list.size()));
-  RDTGC_EXPECTS(row.size() == process_count());
-  RDTGC_EXPECTS(row[static_cast<std::size_t>(p)] == idx);
+  RDTGC_EXPECTS(dv.size() == process_count());
+  RDTGC_EXPECTS(dv[p] == idx);
   // The DV is appended as one row of p's history arena: no per-record heap
   // vector, so steady-state recording is O(1)-allocation (one chunk per
   // rows_per_chunk records, exactly zero after reserve()).
-  dv_arena_[static_cast<std::size_t>(p)].push(row);
+  dv_arena_[static_cast<std::size_t>(p)].push(dv.entries());
   CheckpointInfo& info = list.emplace_back();
   info.process = p;
   info.index = idx;
@@ -96,19 +96,6 @@ void CcpRecorder::append_checkpoint(ProcessId p, CheckpointIndex idx,
   info.gseq = next_gseq_++;
   info.time = t;
   ++stats_.checkpoints_recorded;
-}
-
-void CcpRecorder::record_checkpoint(ProcessId p, CheckpointIndex idx,
-                                    const causality::DependencyVector& dv,
-                                    CheckpointKind kind, SimTime t) {
-  append_checkpoint(p, idx, dv.entries(), kind, t);
-}
-
-void CcpRecorder::seed_checkpoint(ProcessId p, CheckpointIndex idx,
-                                  causality::DvView dv, CheckpointKind kind,
-                                  SimTime t) {
-  append_checkpoint(p, idx, dv.entries(), kind, t);
-  ++stats_.checkpoints_seeded;
 }
 
 void CcpRecorder::record_send(sim::Message& m, SimTime t) {

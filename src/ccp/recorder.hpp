@@ -141,19 +141,6 @@ class CcpRecorder {
                          const causality::DependencyVector& dv,
                          CheckpointKind kind, SimTime t);
 
-  /// Seed checkpoint c_p^idx from stable media instead of observing it live:
-  /// used by ckpt::Node's attach when THIS recorder never saw p's lineage (a
-  /// real re-attach — the pre-crash OS process died together with the
-  /// recorder that observed it, and the replacement starts empty).  Rows for
-  /// checkpoints that survived on the media are bit-exact; the caller
-  /// synthesizes monotone placeholder rows for GC-collected gaps, making the
-  /// seeded recorder observer-grade only — global certification of a
-  /// cross-process run belongs to the replay oracle (transport/replay.hpp).
-  /// Preconditions match record_checkpoint (dense idx, dv[p] == idx).
-  /// Counted in stats().checkpoints_seeded as well as _recorded.
-  void seed_checkpoint(ProcessId p, CheckpointIndex idx, causality::DvView dv,
-                       CheckpointKind kind, SimTime t);
-
   /// Record the send of m (m.id must come from new_message_id, m.src and
   /// m.dst must be processes of this recorder); fills m.send_serial.
   void record_send(sim::Message& m, SimTime t);
@@ -231,7 +218,6 @@ class CcpRecorder {
 
   struct Stats {
     std::uint64_t checkpoints_recorded = 0;
-    std::uint64_t checkpoints_seeded = 0;  ///< subset re-read from media
     std::uint64_t checkpoints_rolled_back = 0;
     std::uint64_t messages_rolled_back = 0;
     std::uint64_t rollbacks = 0;
@@ -243,12 +229,6 @@ class CcpRecorder {
   /// Shared undo of record_rollback/record_restart: kill checkpoints above
   /// `ri` and every message endpoint after c_p^ri, popping p's undo chains.
   void undo_after(ProcessId p, CheckpointIndex ri);
-
-  /// Shared append of record_checkpoint/seed_checkpoint: one arena row plus
-  /// its CheckpointInfo, consuming a serial and a gseq.
-  void append_checkpoint(ProcessId p, CheckpointIndex idx,
-                         std::span<const IntervalIndex> row,
-                         CheckpointKind kind, SimTime t);
 
   std::uint64_t next_gseq_ = 1;
   std::vector<std::vector<CheckpointInfo>> checkpoints_;  // [p] live, by index

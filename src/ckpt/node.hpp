@@ -8,9 +8,9 @@
 //   on receiving m   : (protocol decides) take forced checkpoint BEFORE the
 //                      receipt is processed; then for every j with
 //                      m.DV[j] > DV[j]: DV[j] <- m.DV[j]; GC hook(j) — the
-//                      hooks are delivered as one batched call by default
-//                      (Config::batched_gc_path), allocation-free in steady
-//                      state
+//                      hooks are delivered as one batched call
+//                      (GarbageCollector::on_new_dependencies),
+//                      allocation-free in steady state
 //   on checkpoint    : store DV with the checkpoint; GC hook(DV[self]);
 //                      DV[self] <- DV[self]+1; sent <- false
 // The ordering matters: a forced checkpoint is "supposed to have been taken
@@ -38,10 +38,6 @@ class Node {
  public:
   struct Config {
     std::uint64_t checkpoint_bytes;  ///< synthetic size per checkpoint
-    /// Drive the GC through the batched on_new_dependencies entry point
-    /// (allocation-free).  false selects the per-peer on_new_dependency
-    /// reference path, kept for equivalence tests and benchmarks.
-    bool batched_gc_path;
     /// Stable-storage backend of this process's checkpoint store (default:
     /// in-memory).  The open mode selects the construction path:
     ///  * OpenMode::kFresh — cold start: a fresh lineage, s^0 stored at
@@ -56,7 +52,7 @@ class Node {
     ///    process, compute the Lemma-1 line over the recovered stores, then
     ///    rollback_to() the line members.
     StorageConfig storage;
-    Config() : checkpoint_bytes(1), batched_gc_path(true) {}
+    Config() : checkpoint_bytes(1) {}
   };
 
   struct Counters {
@@ -73,20 +69,24 @@ class Node {
   /// stores the initial stable checkpoint s^0 (§2.2); with OpenMode::kAttach
   /// it instead recovers the store from its media and resumes the persisted
   /// lineage (see Config::storage).  Attaching requires a persistent storage
-  /// kind and at least one surviving checkpoint.  Two recorder situations
-  /// exist at attach:
-  ///  * the recorder observed the pre-crash lineage (in-simulator warm
-  ///    restart) — the oracle's surviving rows are re-certified against the
-  ///    media bit-for-bit;
-  ///  * the recorder is empty for this process (a REAL re-attach: the old
-  ///    OS process died with its recorder, the replacement starts fresh) —
-  ///    the lineage is re-seeded from the media
-  ///    (CcpRecorder::seed_checkpoint), observer-grade only: collected
-  ///    checkpoints left no DV trace, so their rows are monotone
-  ///    placeholders and global certification is the replay oracle's job
-  ///    (transport/replay.hpp).
+  /// kind and at least one surviving checkpoint.
+  ///
+  /// The recorder is an oracle observer: the node reports every send,
+  /// receive, checkpoint, rollback and restart to it and assigns message
+  /// ids from it.  At attach it must already hold the pre-crash lineage of
+  /// this process (an in-simulator warm restart); the node re-certifies the
+  /// recorder's surviving rows against the media bit-for-bit.
   Node(ProcessId self, std::size_t process_count, sim::Simulator& simulator,
        transport::Transport& transport, ccp::CcpRecorder& recorder,
+       std::unique_ptr<CheckpointingProtocol> protocol,
+       std::unique_ptr<GarbageCollector> gc, Config config = Config());
+
+  /// Recorder-less process: the same middleware with no oracle attached
+  /// (the real worker process, transport/worker.hpp), so its memory does not
+  /// grow with the messages it has seen.  Outgoing messages carry id 0; the
+  /// transport assigns one (sim::Network) or ignores it (UdsTransport).
+  Node(ProcessId self, std::size_t process_count, sim::Simulator& simulator,
+       transport::Transport& transport,
        std::unique_ptr<CheckpointingProtocol> protocol,
        std::unique_ptr<GarbageCollector> gc, Config config = Config());
 
@@ -132,6 +132,11 @@ class Node {
   const Counters& counters() const { return counters_; }
 
  private:
+  Node(ProcessId self, std::size_t process_count, sim::Simulator& simulator,
+       transport::Transport& transport, ccp::CcpRecorder* recorder,
+       std::unique_ptr<CheckpointingProtocol> protocol,
+       std::unique_ptr<GarbageCollector> gc, Config config);
+
   void on_receive(const sim::Message& m);
   void take_checkpoint(ccp::CheckpointKind kind);
   /// Cold-start tail of construction: fresh lineage, store s^0.
@@ -144,7 +149,7 @@ class Node {
   ProcessId self_;
   sim::Simulator& simulator_;
   transport::Transport& transport_;
-  ccp::CcpRecorder& recorder_;
+  ccp::CcpRecorder* recorder_;  ///< null: no oracle observes this process
   std::unique_ptr<CheckpointingProtocol> protocol_;
   std::unique_ptr<GarbageCollector> gc_;
   Config config_;

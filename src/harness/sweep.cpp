@@ -17,7 +17,7 @@ std::vector<SweepRun> run_jobs(FleetRunner& fleet, std::size_t total,
                                const SweepProgress& progress) {
   std::vector<SweepRun> runs(total);
   std::atomic<bool> cancelled{false};
-  std::atomic<std::size_t> completed{0};
+  std::size_t completed = 0;  // guarded by progress_lock
   std::mutex progress_lock;
   fleet.run(total, [&](std::size_t job, WorkerContext& worker) {
     // Job-indexed slot: no result ever crosses between jobs, so the only
@@ -25,13 +25,14 @@ std::vector<SweepRun> run_jobs(FleetRunner& fleet, std::size_t total,
     if (!cancelled.load(std::memory_order_acquire)) {
       runs[job] = run_job(job, worker);
       if (progress != nullptr) {
-        const std::size_t done =
-            completed.fetch_add(1, std::memory_order_acq_rel) + 1;
+        // Count and report under one lock, so the hook sees completed
+        // counts 1, 2, ..., total in order.
         bool keep_going;
         {
           std::lock_guard<std::mutex> lock(progress_lock);
+          ++completed;
           keep_going = !cancelled.load(std::memory_order_acquire) &&
-                       progress(done, total);
+                       progress(completed, total);
         }
         if (!keep_going) cancelled.store(true, std::memory_order_release);
       }

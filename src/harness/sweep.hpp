@@ -73,8 +73,9 @@ using SweepBody = std::function<SweepRun(std::uint64_t seed, WorkerContext&)>;
 /// with (completed, total).  Return false to cancel — jobs not yet started
 /// are skipped (their result slots keep only the seed; summarize over
 /// runs[0..completed) or filter on a sentinel figure).  Calls are serialized
-/// but arrive from worker threads: keep the callback cheap and do not touch
-/// the results vector from it.
+/// and `completed` rises by exactly one per call, but they arrive from worker
+/// threads: keep the callback cheap and do not touch the results vector from
+/// it.
 using SweepProgress =
     std::function<bool(std::size_t completed, std::size_t total)>;
 

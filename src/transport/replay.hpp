@@ -25,8 +25,8 @@
 // tagged position and reports it (stopped_at / stop_reason).
 //
 // On success the result keeps the replay System alive so callers can run
-// the full oracle arsenal against it: CcpRecorder analyses (Theorem 1 /
-// Lemma 1 / Corollary 1), recovery_line_from_storage over the replayed
+// the full oracle arsenal against it: the System recorder's analyses
+// (Theorem 1 / Lemma 1 / Corollary 1), recovery_line_from_storage over the replayed
 // media, and comparison against the REAL run's surviving media on disk.
 #pragma once
 

@@ -57,8 +57,9 @@ class Transport {
   /// paper's rule that recovery lines exclude in-transit messages.
   virtual void disconnect(ProcessId p) = 0;
 
-  /// Send `m`.  Implementations assign the id for bare messages (m.id == 0)
-  /// and return the message id.  Must not block on a slow peer: the socket
+  /// Send `m` and return its id.  sim::Network assigns one to bare messages
+  /// (m.id == 0); UdsTransport passes the id through unread, since a Data
+  /// frame is named by its sender and seq.  Must not block on a slow peer: the socket
   /// transport buffers on backpressure (see UdsTransport), the simulator
   /// schedules.
   virtual sim::MessageId send(sim::Message m) = 0;

@@ -109,8 +109,7 @@ class UdsTransport final : public Transport {
   sim::Message make_message() override;
 
   /// Deliver an inbound application message to the local sink, then recycle
-  /// its DV buffer into make_message().  The caller (transport/worker.cpp)
-  /// has already registered the remote send with the local recorder.
+  /// its DV buffer into make_message().
   void deliver(sim::Message m);
 
   /// Queue an already-encoded non-Data frame behind everything already

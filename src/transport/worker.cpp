@@ -19,7 +19,6 @@ class Worker {
  public:
   Worker(const WorkerConfig& config, int fd)
       : config_(config),
-        recorder_(config.process_count),
         transport_(fd, config.self, config.incarnation),
         fd_(fd) {
     ckpt::Node::Config node_config;
@@ -34,7 +33,7 @@ class Worker {
     // checkpoints the event log records, so the re-attached incarnation
     // resumes at the logged lineage position bit-for-bit.
     node_ = std::make_unique<ckpt::Node>(
-        config.self, config.process_count, simulator_, transport_, recorder_,
+        config.self, config.process_count, simulator_, transport_,
         ckpt::make_protocol(config.protocol),
         std::make_unique<core::RdtLgc>(core::RdtLgc::RollbackSearch::kBinary),
         node_config);
@@ -109,12 +108,6 @@ class Worker {
     for (std::size_t j = 0; j < body.dv.size(); ++j)
       m.dv.at(static_cast<ProcessId>(j)) = body.dv[j];
     m.control.assign(body.control.begin(), body.control.end());
-    // The local recorder never saw the remote send event: register it now so
-    // record_receive (inside the Node's sink) finds its message.  Serials
-    // are local to this recorder — it is observer-grade, the global truth
-    // is the parent's event log.
-    m.id = recorder_.new_message_id();
-    recorder_.record_send(m, simulator_.now());
 
     const std::uint64_t forced_before = node_->counters().forced_checkpoints;
     transport_.deliver(std::move(m));
@@ -189,8 +182,8 @@ class Worker {
         CheckpointBody ckpt;
         ckpt.index = node_->last_checkpoint_index();
         ckpt.kind = static_cast<std::uint8_t>(ccp::CheckpointKind::kBasic);
-        const causality::DvView dv =
-            recorder_.checkpoint_dv(config_.self, ckpt.index);
+        // The newest checkpoint is never collected (UC[self] pins it).
+        const causality::DvView dv = node_->store().dv_view(ckpt.index);
         ckpt.dv.assign(dv.entries().begin(), dv.entries().end());
         encode_checkpoint(scratch_, meta_to_parent(), ckpt);
         transport_.enqueue_frame(scratch_);
@@ -233,7 +226,6 @@ class Worker {
 
   WorkerConfig config_;
   sim::Simulator simulator_;
-  ccp::CcpRecorder recorder_;
   UdsTransport transport_;
   int fd_;
   std::unique_ptr<ckpt::Node> node_;

@@ -3,27 +3,28 @@
 // A worker is one process of the distributed system, spawned by
 // transport::ProcFleet (the tools/rdtgc_proc.cpp binary is a thin argv
 // wrapper around run_worker).  It connects to the parent's socket, builds
-// the full per-process stack — Simulator (a logical clock the algorithms
-// never read), CcpRecorder (worker-local, observer-grade), UdsTransport,
-// Node over a persistent kSync store — and then serves frames:
+// the per-process stack — Simulator (a logical clock the algorithms never
+// read), UdsTransport, and a recorder-less Node over a persistent kSync
+// store — and then serves frames:
 //
 //   * kCmd kSendApp     -> Node::send_app_message (Data frame rides out
 //                          through the transport's send buffer), CmdDone
-//   * kCmd kCheckpoint  -> Node::take_basic_checkpoint, Checkpoint frame,
-//                          CmdDone
-//   * kData             -> register the remote send with the local recorder
-//                          (new_message_id + record_send), deliver through
-//                          the transport sink, then RecvAck carrying the
-//                          post-merge DV and the forced-checkpoint flag
+//   * kCmd kCheckpoint  -> Node::take_basic_checkpoint, Checkpoint frame
+//                          (its DV read from the store), CmdDone
+//   * kData             -> deliver through the transport sink, then RecvAck
+//                          carrying the post-merge DV and the forced-
+//                          checkpoint flag
 //   * kCmd kQuiesce     -> flush everything, CmdDone (the parent's pre-
 //                          SIGKILL drain point)
 //   * kCmd kShutdown    -> State digest, flush, exit 0
 //
 // Incarnation 0 opens its store kFresh; incarnation > 0 opens kAttach and
-// re-seeds its empty recorder from the media (ckpt::Node's fresh-process
-// attach path) — this is the real kill -9 recovery the simulator's warm
-// restart models.  A worker that hears nothing for idle_timeout_ms exits
-// nonzero rather than orphan itself (CI hang guard).
+// resumes the lineage on its media (ckpt::Node's attach path) — this is the
+// real kill -9 recovery the simulator's warm restart models.  The worker
+// keeps no oracle: the parent's event log is the global record, and the
+// replay oracle (transport/replay.hpp) certifies every run from it,
+// re-attaches included (the Hello digest).  A worker that hears nothing for
+// idle_timeout_ms exits nonzero rather than orphan itself (CI hang guard).
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 // Hot-path contract tests for the allocation-free receive path:
 //  * property-style equivalence of the batched APIs against the per-peer
 //    reference sequences they coalesce (UcTable::rebind_to vs release+link,
-//    RdtLgc::on_new_dependencies vs on_new_dependency, whole-system batched
-//    vs per-peer delivery on randomized workloads);
+//    RdtLgc::on_new_dependencies vs on_new_dependency on randomized
+//    events);
 //  * a zero-allocation guarantee for the steady-state receive
 //    (merge_into + on_new_dependencies + CCB/store maintenance) and for the
 //    simulated transport under it (Network::send + Simulator::step),
@@ -20,7 +20,6 @@
 #include "ckpt/sharded_checkpoint_store.hpp"
 #include "core/rdt_lgc.hpp"
 #include "core/uc_table.hpp"
-#include "harness/system.hpp"
 #include "helpers.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -260,43 +259,6 @@ TEST(HotPathRdtLgc, BatchedHookMatchesPerPeerHookOnRandomizedEvents) {
     ASSERT_EQ(batched.store.stored_indices(), reference.store.stored_indices());
   }
   EXPECT_GT(batched.lgc.collected(), 0u);
-}
-
-// ---- Whole-system equivalence --------------------------------------------
-
-TEST(HotPathSystem, BatchedAndPerPeerDeliveriesProduceIdenticalRuns) {
-  for (const std::uint64_t seed : {3u, 19u}) {
-    harness::SystemConfig config;
-    config.process_count = 4;
-    config.gc = harness::GcChoice::kRdtLgc;
-    config.seed = seed;
-    config.node.batched_gc_path = true;
-    harness::System batched(config);
-    config.node.batched_gc_path = false;
-    harness::System per_peer(config);
-
-    for (harness::System* system : {&batched, &per_peer}) {
-      workload::WorkloadConfig wl;
-      wl.seed = seed * 31 + 1;
-      workload::WorkloadDriver driver(system->simulator(), system->node_ptrs(),
-                                      wl);
-      driver.start(2000);
-      system->simulator().run();
-    }
-
-    for (ProcessId p = 0; p < 4; ++p) {
-      ASSERT_EQ(batched.node(p).store().stored_indices(),
-                per_peer.node(p).store().stored_indices())
-          << "seed " << seed << " p" << p;
-      ASSERT_EQ(batched.rdt_lgc(p).uc().to_string(),
-                per_peer.rdt_lgc(p).uc().to_string())
-          << "seed " << seed << " p" << p;
-      ASSERT_EQ(batched.rdt_lgc(p).collected(),
-                per_peer.rdt_lgc(p).collected())
-          << "seed " << seed << " p" << p;
-    }
-    test::audit_exact_corollary1(batched);
-  }
 }
 
 // ---- Zero allocations on the steady-state receive ------------------------

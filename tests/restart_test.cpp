@@ -230,7 +230,9 @@ TEST(SweepProgress, ReportsEveryCompletedJob) {
       },
       [&](std::size_t completed, std::size_t total) {
         EXPECT_EQ(total, 6u);
-        EXPECT_GE(completed, 1u);
+        // Calls are serialized and counted in order: each one reports
+        // exactly one more completed job than the call before it.
+        EXPECT_EQ(completed, last_completed + 1);
         EXPECT_LE(completed, total);
         ++calls;
         last_completed = completed;

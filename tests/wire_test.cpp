@@ -93,7 +93,7 @@ TEST(WireRoundTrip, Data) {
 }
 
 TEST(WireRoundTrip, DataControlWordEdgeVectors) {
-  // The v3 protocol payload: every control-width corner the zoo produces —
+  // The protocol payload: every control-width corner the zoo produces —
   // none (DV-only family), one word (BCS/FI), n+1 (FINE), and the wire cap.
   WireBuffer buf;
   DecodedFrame f;
@@ -321,7 +321,7 @@ TEST(WireReject, BadMagicVersionKind) {
   EXPECT_EQ(decode_frame(frame, f), WireError::kBadKind);
 }
 
-// ---- Version-2 compatibility ----------------------------------------------
+// ---- Version ---------------------------------------------------------------
 
 WireBuffer recovery_start_frame() {
   WireBuffer buf;
@@ -347,80 +347,20 @@ WireBuffer rolled_back_frame() {
   return buf;
 }
 
-/// A Data frame exactly as a v1/v2 peer would emit it: the v3 encoder's
-/// trailing control section stripped (the empty-count u32), length re-sealed
-/// and the version re-stamped.
-WireBuffer downgraded_data_frame(std::uint8_t version) {
-  WireBuffer buf;
-  DataBody b;
-  b.send_interval = 4;
-  b.bytes = 9;
-  b.dv = {1, 2, 3};
-  encode_data(buf, meta(0, 1, 0, 3), b);
-  buf.resize(buf.size() - 4);  // drop the (empty) control-count field
-  patch_u32(buf, 4, static_cast<std::uint32_t>(buf.size()));
-  buf[8] = version;  // version low byte; high is 0
-  return buf;
-}
-
-// Backward compatibility: a frame produced by a version-1 peer (every
-// pre-recovery kind) still decodes under the current codec — total decoding
-// is preserved across the bumps.
-TEST(WireCompat, Version1FramesStillDecode) {
-  DecodedFrame f;
-  WireBuffer frame = sample_frame();
-  frame[8] = 1;  // re-stamp as a v1 frame (version low byte; high is 0)
-  EXPECT_EQ(decode_frame(frame, f), WireError::kOk);
-  EXPECT_EQ(decode_frame(downgraded_data_frame(1), f), WireError::kOk);
-}
-
-// A v1/v2 Data frame has no control section: it must decode with an EMPTY
-// control vector even when the reused DecodedFrame still holds words from a
-// previous v3 decode — and a v3 frame without the section is kTruncated.
-TEST(WireCompat, PreV3DataDecodesWithoutControlWords) {
-  DecodedFrame f;
-  DataBody b;
-  b.send_interval = 1;
-  b.bytes = 2;
-  b.dv = {5, 6};
-  b.control = {41, 42};
-  WireBuffer v3;
-  encode_data(v3, meta(1, 0, 0, 8), b);
-  ASSERT_EQ(decode_frame(v3, f), WireError::kOk);
-  ASSERT_EQ(f.data.control, b.control);  // f now holds stale words
-
-  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
-    EXPECT_EQ(decode_frame(downgraded_data_frame(version), f), WireError::kOk);
-    EXPECT_TRUE(f.data.control.empty()) << "version " << int{version};
-  }
-
-  // The same bytes stamped v3 lack the mandatory control count.
-  WireBuffer bad = downgraded_data_frame(3);
-  DecodedFrame g;
-  EXPECT_EQ(decode_frame(bad, g), WireError::kTruncated);
-}
-
-// The recovery kinds (8, 9) did not exist in version 1: a v1 frame claiming
-// one is structurally impossible and must be kBadKind, never UB and never a
-// successful decode a v1-era consumer could misroute.
-TEST(WireCompat, Version1RecoveryKindsRejected) {
-  DecodedFrame f;
-  WireBuffer frame = recovery_start_frame();
-  frame[8] = 1;
-  EXPECT_EQ(decode_frame(frame, f), WireError::kBadKind);
-
-  frame = rolled_back_frame();
-  frame[8] = 1;
-  EXPECT_EQ(decode_frame(frame, f), WireError::kBadKind);
-}
-
+// The decoder accepts kWireVersion only: every older version (the pre-
+// recovery v1 and the pre-control-word v2 included) and every future one is
+// kBadVersion, whatever the kind.
 TEST(WireCompat, VersionZeroAndFutureRejected) {
   DecodedFrame f;
-  WireBuffer frame = sample_frame();
-  frame[8] = 0;  // below kWireMinVersion
-  EXPECT_EQ(decode_frame(frame, f), WireError::kBadVersion);
-  frame[8] = kWireVersion + 1;
-  EXPECT_EQ(decode_frame(frame, f), WireError::kBadVersion);
+  for (const WireBuffer& valid :
+       {sample_frame(), recovery_start_frame(), rolled_back_frame()}) {
+    for (const int version : {0, 1, 2, kWireVersion + 1}) {
+      WireBuffer frame = valid;
+      frame[8] = static_cast<std::uint8_t>(version);  // version low byte
+      EXPECT_EQ(decode_frame(frame, f), WireError::kBadVersion)
+          << "version " << version;
+    }
+  }
 }
 
 TEST(WireCompat, EncodersStampCurrentVersion) {
@@ -532,7 +472,7 @@ WireBuffer data_control_frame() {
 
 TEST(WireReject, DataTamperedControlCount) {
   // Data payload: i32 send_interval, u64 bytes, dv count + entries, then
-  // the v3 control count.
+  // the control count.
   const std::size_t control_count_at = kWireHeaderBytes + 16 + 4 * 3;
   DecodedFrame f;
   WireBuffer frame = data_control_frame();
@@ -557,6 +497,13 @@ TEST(WireReject, DataTamperedControlCount) {
   frame = data_control_frame();
   patch_u32(frame, control_count_at, 1);
   EXPECT_EQ(decode_frame(frame, f), WireError::kTrailing);
+
+  // The control section is mandatory: a frame cut right after the DV, its
+  // length re-sealed, lacks the count.
+  frame = data_control_frame();
+  frame.resize(control_count_at);
+  patch_u32(frame, 4, static_cast<std::uint32_t>(frame.size()));
+  EXPECT_EQ(decode_frame(frame, f), WireError::kTruncated);
 }
 
 TEST(WireReject, OverMaxFrameBytes) {
@@ -580,9 +527,9 @@ TEST(WireFuzz, RandomGarbageNeverCrashes) {
 }
 
 TEST(WireFuzz, BitFlippedValidFramesNeverCrash) {
-  // Corpus: one v1-era frame, both recovery-session frames, and a
-  // control-bearing v3 Data frame, so the mutations cover the
-  // version-gated decode paths too.
+  // Corpus: a RecvAck frame, both recovery-session frames, and a
+  // control-bearing Data frame, so the mutations reach every vector field
+  // the decoder parses.
   const std::vector<WireBuffer> corpus = {
       sample_frame(), recovery_start_frame(), rolled_back_frame(),
       data_control_frame()};
