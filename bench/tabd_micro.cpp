@@ -27,7 +27,6 @@
 #include "core/uc_table.hpp"
 #include "harness/sweep.hpp"
 #include "harness/system.hpp"
-#include "metrics/durability_lag.hpp"
 #include "metrics/storage_probe.hpp"
 #include "recovery/recovery_manager.hpp"
 #include "sim/network.hpp"
@@ -277,8 +276,7 @@ void BM_StoreChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreChurn)->Arg(4)->Arg(64)->Arg(512);
 
-/// Put+collect pairs per iteration of the backend and durability churn
-/// families below.
+/// Put+collect pairs per iteration of the backend churn families below.
 constexpr int kChurnBatch = 64;
 
 // ---- Storage-backend families --------------------------------------------
@@ -329,121 +327,6 @@ void BM_BackendChurnLog(benchmark::State& state) {
 BENCHMARK(BM_BackendChurnMemory)->Arg(4)->Arg(64);
 BENCHMARK(BM_BackendChurnMmap)->Arg(4)->Arg(64);
 BENCHMARK(BM_BackendChurnLog)->Arg(4)->Arg(64);
-
-// ---- Durability-pipeline families ----------------------------------------
-//
-// What group commit buys on the persistent hot path.  The same sliding-
-// window churn shape as BM_BackendChurn at DV width 64.  The durability
-// policy is the swept dimension:
-//  * BM_GroupCommit{Log,Mmap} — Arg is every_k: 0 is the synchronous
-//    baseline the pipeline replaces — kSync write-through plus a
-//    durability point (flush: fsync/msync) after EVERY op, i.e. "durable
-//    when acknowledged" paid inline; k >= 1 batches k ops into one
-//    coalesced emit + durability point.  The /0 vs /16
-//    ratio is the headline per-op saving of the pipeline, and /32 pairs
-//    with BM_BackgroundChurn*/32 (same window, writer thread or not).  These families
-//    block on media, so wall clock (UseRealTime) is the figure of merit —
-//    cpu_time would hide exactly the wait the pipeline removes;
-//  * BM_BackgroundChurn{Log,Mmap} — the same churn under kBackground: the
-//    producer only records into the ring, the writer thread pays the media
-//    off-path, so this family prices the acknowledged (caller-visible)
-//    cost when media latency is hidden entirely;
-//  * BM_DurabilityLag — one probe sweep (metrics/durability_lag.hpp) over a
-//    fleet of Arg pipelined nodes: the observability tax per sample.
-
-ckpt::StorageConfig durability_config(ckpt::StorageBackendKind kind,
-                                      ckpt::DurabilityPolicy policy) {
-  ckpt::StorageConfig config = backend_config(kind);
-  config.durability = policy;
-  return config;
-}
-
-void BM_DurabilityChurn(benchmark::State& state,
-                        ckpt::StorageBackendKind kind,
-                        ckpt::DurabilityPolicy policy) {
-  // kSync alone is write-through without durability points; the honest
-  // synchronous baseline flushes after every op so each one is durable
-  // when it returns — the blocking cost group commit amortizes.
-  const bool flush_per_op = policy.mode == ckpt::DurabilityMode::kSync;
-  ckpt::ShardedCheckpointStore store(
-      0, ckpt::ShardedCheckpointStore::kDefaultShardCount,
-      ckpt::StoreConcurrency::kUnsynchronized, durability_config(kind, policy));
-  causality::DependencyVector dv(64);
-  CheckpointIndex next = 0;
-  constexpr CheckpointIndex window = 128;  // live set, 2x the widest every_k
-  for (; next < window; ++next) store.put(next, dv, 0, 1);
-  for (CheckpointIndex g = 0; g < window / 2; ++g) store.collect(g);
-  store.flush();  // start every policy from a quiesced medium
-  for (auto _ : state) {
-    for (int k = 0; k < kChurnBatch; ++k) {
-      store.put(next, dv, 0, 1);
-      if (flush_per_op) store.flush();
-      store.collect(next - window / 2);
-      if (flush_per_op) store.flush();
-      ++next;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kChurnBatch);
-}
-
-ckpt::DurabilityPolicy group_commit_arg(std::int64_t every_k) {
-  return every_k == 0
-             ? ckpt::DurabilityPolicy::Sync()
-             : ckpt::DurabilityPolicy::GroupCommit(
-                   static_cast<std::size_t>(every_k));
-}
-void BM_GroupCommitLog(benchmark::State& state) {
-  BM_DurabilityChurn(state, ckpt::StorageBackendKind::kLogStructured,
-                     group_commit_arg(state.range(0)));
-}
-void BM_GroupCommitMmap(benchmark::State& state) {
-  BM_DurabilityChurn(state, ckpt::StorageBackendKind::kMmapFile,
-                     group_commit_arg(state.range(0)));
-}
-BENCHMARK(BM_GroupCommitLog)
-    ->Arg(0)->Arg(4)->Arg(16)->Arg(32)->Arg(64)->UseRealTime();
-BENCHMARK(BM_GroupCommitMmap)
-    ->Arg(0)->Arg(4)->Arg(16)->Arg(32)->Arg(64)->UseRealTime();
-
-void BM_BackgroundChurnLog(benchmark::State& state) {
-  BM_DurabilityChurn(
-      state, ckpt::StorageBackendKind::kLogStructured,
-      ckpt::DurabilityPolicy::Background(
-          static_cast<std::size_t>(state.range(0))));
-}
-void BM_BackgroundChurnMmap(benchmark::State& state) {
-  BM_DurabilityChurn(
-      state, ckpt::StorageBackendKind::kMmapFile,
-      ckpt::DurabilityPolicy::Background(
-          static_cast<std::size_t>(state.range(0))));
-}
-BENCHMARK(BM_BackgroundChurnLog)->Arg(32)->UseRealTime();
-BENCHMARK(BM_BackgroundChurnMmap)->Arg(32)->UseRealTime();
-
-void BM_DurabilityLag(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  harness::SystemConfig config;
-  config.process_count = n;
-  config.gc = harness::GcChoice::kRdtLgc;
-  config.node.storage =
-      durability_config(ckpt::StorageBackendKind::kLogStructured,
-                        ckpt::DurabilityPolicy::Background(32));
-  harness::System system(config);
-  workload::WorkloadConfig wl;
-  wl.seed = 11;
-  workload::WorkloadDriver driver(system.simulator(), system.node_provider(),
-                                  n, wl);
-  driver.start(1500);
-  system.simulator().run();
-  metrics::DurabilityLag lag(system.simulator(),
-                             std::as_const(system).node_ptrs());
-  for (auto _ : state) {
-    lag.sample();
-    benchmark::DoNotOptimize(lag.peak_lag_ops());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_DurabilityLag)->Arg(4)->Arg(16);
 
 // Reopen-from-disk cost: Arg live checkpoints survive (after a churn that
 // also left an equal measure of dead records/slots on the medium, as a real

@@ -37,15 +37,11 @@ import sys
 # churn families (memory is the no-regression reference, mmap/log price
 # durability); BM_NodeAttach*/BM_ChurnRestart* are the warm-restart
 # families (Node attach-from-storage and the full kill/reopen/rejoin
-# cycle); BM_GroupCommit*/BM_BackgroundChurn*/BM_DurabilityLag are the
-# async-durability-pipeline families (per-op cost vs the sync write-through
-# baseline at every_k=0, the background acknowledged cost, and the lag
-# probe's sampling tax).
+# cycle).
 TRACKED = re.compile(
     r"^(BM_DvMerge|BM_ReceivePath)\b"
     r"|^BM_Rollback|^BM_StoreChurn|^BM_Backend|^BM_FleetRunner"
     r"|^BM_NodeAttach|^BM_ChurnRestart"
-    r"|^BM_GroupCommit|^BM_BackgroundChurn|^BM_DurabilityLag"
     r"|^BM_Protocol|^BM_SimDelivery")
 
 
@@ -135,8 +131,7 @@ def main():
               f"{args.threshold:.0f}% (families: BM_DvMerge, BM_ReceivePath, "
               "BM_NodeAttach*, BM_ChurnRestart*, "
               "BM_Rollback*, BM_StoreChurn*, BM_Backend*, BM_FleetRunner, "
-              "BM_GroupCommit*, BM_BackgroundChurn*, BM_DurabilityLag, "
-              "BM_Protocol*)")
+              "BM_Protocol*, BM_SimDelivery)")
 
     if args.history:
         record = {

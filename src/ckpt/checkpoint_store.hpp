@@ -12,12 +12,11 @@
 // GC-elimination path never allocates.
 //
 // This flat store is the in-memory StorageBackend that the per-process
-// ShardedCheckpointStore (sharded_checkpoint_store.hpp) holds by default and
-// uses as its acknowledged mirror under an async durability policy.  It is
-// also the equivalence oracle: the persistent backends (mmap_backend.hpp,
-// log_backend.hpp) embed one of these as their in-memory mirror, so
-// "backend X matches the flat store" is the single equivalence contract
-// everything reduces to.
+// ShardedCheckpointStore (sharded_checkpoint_store.hpp) holds by default.
+// It is also the equivalence oracle: the persistent backends
+// (mmap_backend.hpp, log_backend.hpp) embed one of these as their in-memory
+// mirror, so "backend X matches the flat store" is the single equivalence
+// contract everything reduces to.
 #pragma once
 
 #include <cstdint>

@@ -160,15 +160,9 @@ void LogStructuredBackend::append_record(std::uint16_t type,
   std::memcpy(scratch_.data(), &rec, sizeof(rec));
   if (payload > 0)
     std::memcpy(scratch_.data() + sizeof(rec), dv->entries().data(), payload);
-  if (batching_) {
-    // Group-commit drain: accumulate in memory, end_batch() emits the
-    // whole window with one pwrite.  end_offset_ advances at emit time.
-    batch_.insert(batch_.end(), scratch_.begin(), scratch_.end());
-  } else {
-    pwrite_all(fd_, scratch_.data(), scratch_.size(), end_offset_, path_);
-    end_offset_ += scratch_.size();
-    dirty_ = true;
-  }
+  pwrite_all(fd_, scratch_.data(), scratch_.size(), end_offset_, path_);
+  end_offset_ += scratch_.size();
+  dirty_ = true;
   ++log_records_;
 }
 
@@ -223,13 +217,6 @@ void LogStructuredBackend::maybe_compact() {
 }
 
 void LogStructuredBackend::compact() {
-  // Any batched-but-unemitted records are subsumed by the rewrite: every
-  // buffered record's effect is already applied to the mirror by the time
-  // maybe_compact() runs (appends precede the mirror update on puts, and
-  // the compaction triggers — collect/discard — apply their own record
-  // before triggering), and compaction serializes the mirror wholesale.
-  // Emitting them afterwards would replay them twice on recover.
-  batch_.clear();
   const std::string tmp = path_ + ".tmp";
   const int tmp_fd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (tmp_fd < 0) throw_errno("open", tmp);
@@ -270,7 +257,7 @@ void LogStructuredBackend::compact() {
     pwrite_all(tmp_fd, scratch_.data(), scratch_.size(), off, tmp);
     off += scratch_.size();
   }
-  if (::fsync(tmp_fd) != 0) throw_errno("fsync", tmp);
+  if (util::io_fsync(tmp_fd) != 0) throw_errno("fsync", tmp);
   // Atomic swap: either the old log or the complete compacted one exists.
   if (::rename(tmp.c_str(), path_.c_str()) != 0) throw_errno("rename", tmp);
   ::close(fd_);
@@ -345,30 +332,6 @@ void LogStructuredBackend::flush() {
   if (util::io_fsync(fd_) != 0) throw_errno("fsync", path_);
   ++fsyncs_;
   dirty_ = false;
-}
-
-void LogStructuredBackend::begin_batch() {
-  RDTGC_ASSERT(!batching_);
-  // batch_ may be non-empty here: a previous end_batch() that failed with
-  // IoError (ENOSPC) keeps its bytes, and the next commit retries them
-  // ahead of the new window — end_offset_ never advanced, so the record
-  // stream stays contiguous.
-  batching_ = true;
-}
-
-void LogStructuredBackend::end_batch(bool durable) {
-  RDTGC_ASSERT(batching_);
-  batching_ = false;
-  if (!batch_.empty()) {
-    // The whole window in one pwrite.  A crash tearing it mid-write leaves
-    // a well-formed record prefix plus one torn record, exactly what
-    // recover() truncates away.
-    pwrite_all(fd_, batch_.data(), batch_.size(), end_offset_, path_);
-    end_offset_ += batch_.size();
-    batch_.clear();
-    dirty_ = true;
-  }
-  if (durable) flush();
 }
 
 }  // namespace rdtgc::ckpt

@@ -88,15 +88,6 @@ class LogStructuredBackend final : public StorageBackend {
   /// was written since the last flush (the dirty flag; see fsyncs()).
   void flush() override;
 
-  /// Coalesced batch: between begin_batch() and end_batch() appended
-  /// records accumulate in memory, and end_batch() writes the whole window
-  /// with ONE pwrite (+ one fsync when durable) — the group-commit fast
-  /// path.  A compaction inside the batch simply discards the buffer: the
-  /// mirror already reflects every buffered record, and compaction
-  /// serializes the mirror wholesale.
-  void begin_batch() override;
-  void end_batch(bool durable) override;
-
   // ---- Introspection (tests, benches) ----
 
   /// Records currently in the log (baseline + appended since).
@@ -138,11 +129,7 @@ class LogStructuredBackend final : public StorageBackend {
   bool pending_recover_ = false;
   /// Unsynced bytes reached the medium since the last successful flush().
   bool dirty_ = false;
-  /// Inside a begin_batch()/end_batch() bracket: appends buffer into
-  /// batch_ instead of pwriting.
-  bool batching_ = false;
   std::vector<std::byte> scratch_;  ///< reusable record serialization buffer
-  std::vector<std::byte> batch_;    ///< coalesced records awaiting one pwrite
 
   static constexpr std::uint32_t kWidthUnset = 0xffffffffu;
 };

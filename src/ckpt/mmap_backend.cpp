@@ -292,16 +292,6 @@ void MmapFileBackend::flush() {
   medium_dirty_ = false;
 }
 
-void MmapFileBackend::end_batch(bool durable) {
-  if (!durable || !medium_dirty_) return;
-  // Group-commit durability point: msync without the clean flag (the
-  // mutations already cleared it; a crash after this commit is still an
-  // unclean-but-consistent state, not a clean close).
-  file_.sync();
-  ++msyncs_;
-  medium_dirty_ = false;
-}
-
 std::uint64_t MmapFileBackend::slots_used() const { return header()->slots_used; }
 std::uint64_t MmapFileBackend::slot_capacity() const {
   return header()->slot_capacity;

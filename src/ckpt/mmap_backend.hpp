@@ -101,20 +101,14 @@ class MmapFileBackend final : public StorageBackend {
   /// nothing changed since the last flush (the dirty flag; see msyncs()).
   void flush() override;
 
-  /// Mutations are mapped-memory writes, so nothing buffers; end_batch()
-  /// msyncs the segment when durable WITHOUT marking it cleanly closed (a
-  /// group commit is a durability point, not a shutdown — the clean flag
-  /// stays the flush() contract).
-  void end_batch(bool durable) override;
-
   // ---- Introspection (tests, benches) ----
 
   /// Slots appended since the segment was created (live + dead).
   std::uint64_t slots_used() const;
   /// Current slot capacity of the mapping.
   std::uint64_t slot_capacity() const;
-  /// msync syscalls actually issued by flush()/end_batch() (dirty-flag
-  /// skips excluded).
+  /// msync syscalls actually issued by flush() (dirty-flag skips
+  /// excluded).
   std::uint64_t msyncs() const { return msyncs_; }
   /// Whether the segment was flushed before it was last closed (valid right
   /// after recover(); any mutation clears the flag).

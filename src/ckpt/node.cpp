@@ -59,10 +59,6 @@ void Node::start_fresh(std::size_t process_count) {
   // Every process starts its execution by storing a stable checkpoint s^0,
   // ensuring at least one global recoverable state (§2.2).
   take_checkpoint(ccp::CheckpointKind::kInitial);
-  // Under an async durability policy s^0 would otherwise sit in the open
-  // commit window: force it durable so any crash-cut leaves a non-empty
-  // lineage on the media (attach refuses a checkpoint-less medium).
-  if (store_.pipelined()) store_.flush();
 }
 
 void Node::attach_from_storage(std::size_t process_count) {

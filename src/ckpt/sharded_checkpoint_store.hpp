@@ -6,21 +6,16 @@
 //  * in-memory (the default): one CheckpointStore, called directly — the
 //    class is final, so the hot put/collect/contains calls devirtualize and
 //    inline;
-//  * persistent, DurabilityMode::kSync: one StorageBackend (an mmap'd
-//    segment or a log, storage_backend.hpp) that every mutation writes
-//    through;
-//  * persistent, kGroupCommit/kBackground: a CheckpointStore as the
-//    ACKNOWLEDGED mirror that serves every read at in-memory speed, plus one
-//    StorageBackend holding the DURABLE state, fed by a
-//    ckpt::DurabilityPipeline in group commits (durability_pipeline.hpp has
-//    the scheduling and crash semantics).  Dropping the store without
-//    flush() models a crash: the un-drained window is lost and recovery
-//    lands on a prefix of the acknowledged history.
+//  * persistent: one StorageBackend (an mmap'd segment or a log,
+//    storage_backend.hpp) that every mutation writes through before it
+//    returns.  A checkpoint is therefore on the medium once it is taken, as
+//    the paper's GC proofs assume (§2.2): dropping the store without
+//    flush() models a process crash and loses nothing it acknowledged.
+//    flush() is the durability point against an OS crash.
 //
 // Each process writes exactly one media file, StorageConfig::file(owner).
-// The medium persists its own lifetime StoreStats, and because the pipeline
-// replays exactly the acknowledged op prefix into it, those persisted
-// counters are the durable counters: recover() needs nothing else.
+// The medium persists its own lifetime StoreStats, so recover() needs
+// nothing else.
 //
 // Reopening: construct with OpenMode::kAttach over the same directory and
 // call recover() before any mutation; recovery::recovery_line_from_storage()
@@ -28,7 +23,8 @@
 //
 // Name and shape kept for e2ebench/: the class name, this header's path,
 // kDefaultShardCount, StoreConcurrency::kUnsynchronized, the 4-argument
-// constructor, shard_count(), shard(0), durable_shard(0), pipeline(), and
+// constructor, shard_count(), shard(0), durable_shard(0), pipeline() with
+// its DurabilityPipeline stub, and
 // GarbageCollector::initialize(ProcessId, std::size_t,
 // ShardedCheckpointStore&).  The benchmark harness compiles against them;
 // renaming waits for a change that is allowed to edit the benchmark.
@@ -41,7 +37,6 @@
 #include "causality/dependency_vector.hpp"
 #include "causality/types.hpp"
 #include "ckpt/checkpoint_store.hpp"
-#include "ckpt/durability_pipeline.hpp"
 #include "ckpt/storage_backend.hpp"
 #include "util/check.hpp"
 
@@ -50,6 +45,12 @@ namespace rdtgc::ckpt {
 /// The store is single-threaded; this is the only mode (see header comment).
 enum class StoreConcurrency {
   kUnsynchronized,
+};
+
+/// No store has a durability pipeline; pipeline() always returns nullptr
+/// (see the header comment).
+struct DurabilityPipeline {
+  std::uint64_t commits() const { return 0; }
 };
 
 class ShardedCheckpointStore {
@@ -83,7 +84,8 @@ class ShardedCheckpointStore {
 
   /// Membership test; one binary search.  Never allocates.
   bool contains(CheckpointIndex index) const {
-    return write_through_ ? media_->contains(index) : memory_.contains(index);
+    return media_ != nullptr ? media_->contains(index)
+                             : memory_.contains(index);
   }
 
   /// Reference into the in-memory index — invalidated by the next mutation
@@ -111,25 +113,26 @@ class ShardedCheckpointStore {
   /// Currently stored indices, ascending.  O(1): a live view invalidated by
   /// the next mutation — copy before interleaving with mutations.
   const std::vector<CheckpointIndex>& stored_indices() const {
-    return write_through_ ? media_->stored_indices() : memory_.stored_indices();
+    return media_ != nullptr ? media_->stored_indices()
+                             : memory_.stored_indices();
   }
 
   /// Highest stored index; throws ContractViolation on an empty store.
   /// O(1), never allocates.
   CheckpointIndex last_index() const {
-    return write_through_ ? media_->last_index() : memory_.last_index();
+    return media_ != nullptr ? media_->last_index() : memory_.last_index();
   }
 
   /// Live checkpoints.  O(1), never allocates.
   std::size_t count() const {
-    return write_through_ ? media_->count() : memory_.count();
+    return media_ != nullptr ? media_->count() : memory_.count();
   }
   /// Bytes currently held.  O(1), never allocates.
   std::uint64_t bytes() const {
-    return write_through_ ? media_->bytes() : memory_.bytes();
+    return media_ != nullptr ? media_->bytes() : memory_.bytes();
   }
 
-  /// Lifetime counters of the acknowledged state.  O(1), never allocates.
+  /// Lifetime counters.  O(1), never allocates.
   using Stats = StoreStats;
   const Stats& stats() const { return shard(0).stats(); }
 
@@ -141,60 +144,33 @@ class ShardedCheckpointStore {
   /// (recovery is off every hot path).
   std::size_t recover();
 
-  /// Durability point: drain the pipeline (if any), then flush the medium
-  /// (msync/fsync), so every acknowledged mutation is durable on return.
-  /// Rethrows a failure the background writer hit.  No-op for in-memory
-  /// storage.
+  /// Durability point against an OS crash: flush the medium (msync/fsync).
+  /// No-op for in-memory storage.
   void flush();
 
-  // ---- Asynchronous durability (see the header comment) ----
-
-  /// Whether a DurabilityPipeline is active (persistent backend with a
-  /// non-kSync policy).  O(1), never allocates.
-  bool pipelined() const { return pipeline_ != nullptr; }
-
-  /// The pipeline, or nullptr in kSync / in-memory mode.
-  DurabilityPipeline* pipeline() { return pipeline_.get(); }
-  const DurabilityPipeline* pipeline() const { return pipeline_.get(); }
-
-  /// Acked-vs-synced snapshot.  Without a pipeline the lag is identically
-  /// zero (indices report last_index()).  Safe against a background drain.
-  DurabilityStatus durability() const;
+  /// Always nullptr (kept for e2ebench/).
+  const DurabilityPipeline* pipeline() const { return nullptr; }
 
   // ---- Backend introspection (tests, benches, e2ebench/) ----
 
   /// Always 1.
   std::size_t shard_count() const { return 1; }
-  /// The backend serving reads: the medium in kSync persistent mode, the
-  /// in-memory store otherwise.  `s` must be 0.
-  const StorageBackend& shard(std::size_t s) const {
-    RDTGC_EXPECTS(s == 0);
-    return write_through_ ? static_cast<const StorageBackend&>(*media_)
-                          : memory_;
-  }
-  /// The DURABLE backend: the medium whenever there is one (in pipelined
-  /// mode shard(0) is the acknowledged mirror), the in-memory store
+  /// The backend: the medium in persistent mode, the in-memory store
   /// otherwise.  `s` must be 0.
-  const StorageBackend& durable_shard(std::size_t s) const {
+  const StorageBackend& shard(std::size_t s) const {
     RDTGC_EXPECTS(s == 0);
     return media_ != nullptr ? static_cast<const StorageBackend&>(*media_)
                              : memory_;
   }
+  /// Same as shard(s).
+  const StorageBackend& durable_shard(std::size_t s) const { return shard(s); }
 
  private:
-  /// In-memory mode: the store.  Pipelined mode: the acknowledged mirror.
-  /// Unused (empty) in kSync persistent mode.
+  /// In-memory mode: the store.  Unused (empty) in persistent mode.
   CheckpointStore memory_;
-  /// The persistent medium; null in in-memory mode.
+  /// The persistent medium; null in in-memory mode.  Rejects mutations
+  /// until recover() ran when opened with OpenMode::kAttach.
   std::unique_ptr<StorageBackend> media_;
-  /// kSync persistent mode: mutations and reads go straight to media_.
-  bool write_through_ = false;
-  /// kAttach: recover() has not run yet; mutations are rejected.
-  bool pending_recover_ = false;
-  /// Group-commit/background-writer pipeline (non-kSync persistent mode
-  /// only).  LAST member: destroyed first, so the writer thread is joined
-  /// before the medium it drains into goes away.
-  std::unique_ptr<DurabilityPipeline> pipeline_;
 };
 
 }  // namespace rdtgc::ckpt

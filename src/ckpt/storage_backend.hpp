@@ -28,13 +28,14 @@
 //    backend opened with OpenMode::kAttach; on a live backend it is a no-op
 //    returning count().  Persistent backends reject mutations until the
 //    pending recover() ran;
-//  * flush() is the durability point (msync/fsync); dropping a backend
-//    without it models a crash — the page-cache contents survive, and
-//    recover() must reconstruct from whatever reached the file.  Under a
-//    non-kSync DurabilityPolicy the store additionally holds a window of
-//    acknowledged-but-unapplied mutations (durability_pipeline.hpp);
-//    dropping the STORE discards that window, and recovery lands on the
-//    consistent prefix the last group commit established;
+//  * every mutation is written through to the medium (the page cache)
+//    before it returns, so a process crash loses nothing a caller was told
+//    is stored — the paper's "stable when taken" (§2.2) holds for every
+//    checkpoint a peer's GC can have reasoned about;
+//  * flush() is the durability point against an OS crash (msync/fsync);
+//    dropping a backend without it models a process crash — the page-cache
+//    contents survive, and recover() must reconstruct from whatever
+//    reached the file;
 //  * dv_view() exposes the stored dependency vector without forcing a copy
 //    (the mmap backend returns a view straight into the mapped file).
 //
@@ -121,49 +122,6 @@ enum class OpenMode {
   kAttach,  ///< open the existing medium; recover() must run before use
 };
 
-/// When acknowledged mutations reach the persistent medium (see
-/// durability_pipeline.hpp for the machinery and the precise crash
-/// semantics; the policy is ignored by the in-memory kind, which has no
-/// medium).
-enum class DurabilityMode {
-  /// Every mutation writes through to the medium before it returns —
-  /// today's behavior and the default.  flush() is the only thing deferred
-  /// (the msync/fsync durability point), exactly as before.
-  kSync,
-  /// Mutations are acknowledged from the in-memory mirror and batched; a
-  /// GROUP COMMIT — applying the whole window to the media with coalesced
-  /// writes and one sync — runs inline on the triggering operation every
-  /// `every_k_ops` mutations (and, when `every_checkpoint` is set, on every
-  /// put).
-  kGroupCommit,
-  /// As kGroupCommit, but the windows drain on a dedicated background
-  /// writer thread so no mutation ever blocks on media; `every_k_ops`
-  /// bounds the writer's per-pass batch.  flush() quiesces the writer.
-  kBackground,
-};
-
-/// Human-readable mode name for tables, logs, and bench labels.
-const char* durability_mode_name(DurabilityMode mode);
-
-/// The latency/durability knob of a store's persistent medium.
-struct DurabilityPolicy {
-  DurabilityMode mode = DurabilityMode::kSync;
-  /// Group-commit window: commit after this many acknowledged mutations
-  /// (kBackground: the writer's per-pass batch bound).  Must be >= 1.
-  std::size_t every_k_ops = 32;
-  /// Additionally commit on every put() — checkpoint-granular durability
-  /// with collect/discard batching (kGroupCommit only).
-  bool every_checkpoint = false;
-
-  static DurabilityPolicy Sync() { return {}; }
-  static DurabilityPolicy GroupCommit(std::size_t k, bool per_checkpoint = false) {
-    return {DurabilityMode::kGroupCommit, k, per_checkpoint};
-  }
-  static DurabilityPolicy Background(std::size_t k = 32) {
-    return {DurabilityMode::kBackground, k, false};
-  }
-};
-
 /// Construction-time storage choice for a ShardedCheckpointStore (and
 /// through ckpt::Node::Config / harness::SystemConfig, for every process of
 /// a simulated system).  `directory` must name an existing, writable
@@ -179,10 +137,6 @@ struct StorageConfig {
   std::size_t compact_min_records = 64;
   /// Log backend: compact when the dead-record fraction reaches this.
   double compact_dead_ratio = 0.5;
-  /// When mutations become durable (persistent kinds only; see
-  /// DurabilityMode).  The default kSync keeps every existing contract
-  /// byte-for-byte.
-  DurabilityPolicy durability;
 
   /// The one media file of `owner`'s store: directory/p<owner>.seg (mmap)
   /// or directory/p<owner>.log (log).
@@ -259,26 +213,6 @@ class StorageBackend {
   /// the last flush (the dirty-flag contract tests/durability_test.cpp
   /// pins via the fsyncs()/msyncs() introspection counters).
   virtual void flush() = 0;
-
-  // ---- Coalesced-batch protocol (durability pipeline drains) ----
-  //
-  // A DurabilityPipeline drain brackets the mutations it replays with
-  // begin_batch()/end_batch(): between the two the backend may
-  // buffer its medium writes, and end_batch() emits them with as few
-  // syscalls as it can manage (the log backend turns a whole window of
-  // records into ONE pwrite), then makes them durable when `durable` is
-  // set.  The default implementation is write-through (every mutation hits
-  // the medium as usual) with end_batch deferring to flush(), which is
-  // correct for every backend; overriding is purely an optimization.
-  // Batches never nest and end_batch always runs (the pipeline owns the
-  // bracket).  end_batch closes the bracket before its first I/O, so a
-  // throw from it leaves the bracket closed, and whatever it could not
-  // emit or sync is retried by the next end_batch.
-
-  virtual void begin_batch() {}
-  virtual void end_batch(bool durable) {
-    if (durable) flush();
-  }
 };
 
 /// Instantiate the backend `config` selects for process `owner`'s store.

@@ -114,8 +114,6 @@ SweepSummary summarize_sweep(const std::vector<SweepRun>& runs) {
     summary.control_messages.add(static_cast<double>(run.control_messages));
     summary.forced_checkpoints.add(
         static_cast<double>(run.forced_checkpoints));
-    summary.durability_lag.merge(run.durability_lag);
-    summary.peak_durability_lag.add(run.peak_durability_lag);
     ++summary.runs;
   }
   return summary;

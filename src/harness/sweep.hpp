@@ -38,11 +38,6 @@ struct SweepRun {
   std::uint64_t basic_checkpoints = 0;
   std::uint64_t forced_checkpoints = 0;
   std::uint64_t messages_received = 0;
-  /// Per-sample acked-vs-synced op lag from the run's metrics::DurabilityLag
-  /// probe (identically zero under DurabilityMode::kSync).
-  metrics::RunningStat durability_lag;
-  /// The run's peak per-process op lag (DurabilityLag::peak_lag_ops).
-  double peak_durability_lag = 0;
   /// Driver-specific extra figure (e.g. Table B's oracle-final storage);
   /// not aggregated by summarize_sweep.
   double extra = 0;
@@ -58,9 +53,6 @@ struct SweepSummary {
   metrics::RunningStat collected;
   metrics::RunningStat control_messages;
   metrics::RunningStat forced_checkpoints;
-  /// Pooled durability-lag samples / one peak data point per run.
-  metrics::RunningStat durability_lag;
-  metrics::RunningStat peak_durability_lag;
   std::size_t runs = 0;
 };
 

@@ -28,10 +28,10 @@ class Worker {
     node_config.storage.open_mode = config.incarnation == 0
                                         ? ckpt::OpenMode::kFresh
                                         : ckpt::OpenMode::kAttach;
-    // kSync durability (the StorageConfig default) is part of the replay
-    // contract: at a quiesced SIGKILL the media must hold exactly the
-    // checkpoints the event log records, so the re-attached incarnation
-    // resumes at the logged lineage position bit-for-bit.
+    // Write-through storage is part of the replay contract: at a quiesced
+    // SIGKILL the media must hold exactly the checkpoints the event log
+    // records, so the re-attached incarnation resumes at the logged
+    // lineage position bit-for-bit.
     node_ = std::make_unique<ckpt::Node>(
         config.self, config.process_count, simulator_, transport_,
         ckpt::make_protocol(config.protocol),

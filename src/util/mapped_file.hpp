@@ -33,8 +33,9 @@ class IoError : public std::runtime_error {
 
 // ---- Durability-syscall seam ------------------------------------------
 //
-// Every *flush durability point* (MappedFile::sync's msync, the log
-// backend's flush fsync) goes through these two entry points instead of
+// Every msync/fsync (MappedFile::sync's msync, the log backend's flush
+// fsync and its compaction's fsync of the rewritten log) goes through
+// these two entry points instead of
 // calling the libc symbol directly, so tests can inject an fsync/msync
 // failure and assert the error surfaces as IoError with mirror and medium
 // still coherent (tests/durability_test.cpp).  Production behavior is

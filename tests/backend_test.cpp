@@ -50,17 +50,7 @@ StorageConfig persistent_config(StorageBackendKind kind,
   // compaction, not just the happy path.
   config.initial_slots = 2;
   config.compact_min_records = 16;
-  // The CI forced-policy leg re-runs this whole suite with the async
-  // durability pipeline on (RDTGC_FORCE_DURABILITY=group|background).
-  return test::with_forced_durability(config);
-}
-
-/// Whether the forced-policy leg put an async pipeline under the stores.
-/// Unclean-drop expectations change: a pipelined store dropped mid-window
-/// recovers a consistent PREFIX, not the full acknowledged state.
-bool forced_async_durability() {
-  const auto forced = test::forced_durability();
-  return forced.has_value() && forced->mode != ckpt::DurabilityMode::kSync;
+  return config;
 }
 
 // ---- One trace, four backends, equal after every op -----------------------
@@ -105,12 +95,9 @@ void run_four_backend_trace(std::uint64_t seed, double reopen_probability) {
 
     if (reopen_probability > 0 && reopen_rng.bernoulli(reopen_probability)) {
       // Reopen-from-disk in the middle of the schedule, alternating a clean
-      // close (flush) with a crash-style drop.  Under a forced async policy
-      // every reopen flushes — an unclean drop would recover a prefix and
-      // diverge from the flat reference; the mid-window-kill contract has
-      // its own tests in durability_test.cpp.
+      // close (flush) with a crash-style drop.
       clean = !clean;
-      if (clean || forced_async_durability()) {
+      if (clean) {
         mmap_store->flush();
         log_store->flush();
       }
@@ -162,13 +149,6 @@ void run_crash_recovery(StorageBackendKind kind, bool clean,
   ShardedCheckpointStore reopened(
       2, ShardedCheckpointStore::kDefaultShardCount,
       ckpt::StoreConcurrency::kUnsynchronized, config);
-  if (!clean && forced_async_durability()) {
-    // Crash mid-window under the forced pipeline: the acknowledged tail is
-    // gone, but what recovers must be a consistent prefix of the schedule.
-    reopened.recover();
-    test::expect_consistent_prefix(trace, reopened, trace.ops().size());
-    return;
-  }
   ASSERT_EQ(reopened.recover(), flat.count());
   test::expect_stores_equal(flat, reopened);
 }
@@ -351,12 +331,7 @@ void run_system_recovery(StorageBackendKind kind, bool clean) {
   test::audit_exact_corollary1(*system);
   test::audit_bounds(*system);
 
-  // Under the forced async pipeline an unclean stop would recover each
-  // process at a DIFFERENT earlier point of its lineage, and the
-  // end-of-run oracles below would not apply; durability_test.cpp audits
-  // that crash-cut against the oracle on its own schedule, so this test
-  // always flushes there.
-  if (clean || forced_async_durability())
+  if (clean)
     for (ProcessId p = 0; p < n; ++p) system->node(p).store().flush();
 
   // Reopen every process's store from the directory alone and recover.

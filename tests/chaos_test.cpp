@@ -56,15 +56,7 @@ StorageConfig media(StorageBackendKind kind, const std::string& directory) {
   config.directory = directory;
   config.initial_slots = 2;
   config.compact_min_records = 16;
-  // Forced-policy CI leg: the whole churn soak runs with the async
-  // durability pipeline under every store (see the restart hook below).
-  return test::with_forced_durability(config);
-}
-
-/// Whether the forced-policy leg put an async pipeline under the stores.
-bool forced_async_durability() {
-  const auto forced = test::forced_durability();
-  return forced.has_value() && forced->mode != ckpt::DurabilityMode::kSync;
+  return config;
 }
 
 /// Everything observable a churn run leaves behind.  Node/GC lifetime
@@ -189,12 +181,9 @@ ChurnResult run_churn_session(Mode mode, StorageBackendKind kind,
   recovery::RestartFn restart;
   if (mode == Mode::kChaosOnMedia) {
     restart = [&system, deep_audit](ProcessId p) {
-      // Forced async policy: drain the victim's commit window first, so the
-      // kill stays bit-identical to the in-memory reference (an un-flushed
-      // kill would resume from an earlier prefix; that contract has its own
-      // tests in durability_test.cpp).  The pipeline lifecycle — writer
-      // teardown, attach, re-drain — is still exercised by every restart.
-      if (forced_async_durability()) system.node(p).store().flush();
+      // No flush before the kill: the store writes every mutation through
+      // to the medium, so an unflushed death loses only the volatile
+      // interval, which is what the in-memory reference rolls back.
       system.restart_node(p);
       // The oracle needs a consistent state: between a kill and its
       // session, the dead incarnation's sends are orphans by construction.
@@ -227,9 +216,11 @@ ChurnResult run_churn_session(Mode mode, StorageBackendKind kind,
   system.simulator().run();
 
   // End-of-run oracles: the whole lineage — across every incarnation —
-  // certifies, and no orphan survived the churn.
+  // certifies, no orphan survived the churn, and every store kept within
+  // the ≤ n steady / n+1 transient bound.
   test::audit_safety_theorem1(system);
   EXPECT_TRUE(system.recorder().audit_no_orphans());
+  test::audit_bounds(system);
 
   ChurnResult result;
   result.state = distill(system, injector.outcomes());

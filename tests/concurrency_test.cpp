@@ -1,5 +1,4 @@
-// Concurrency tests: the checkpoint store's background writer under a
-// producer thread, and the fleet runner's scheduling/determinism contracts.
+// Concurrency tests: the fleet runner's scheduling/determinism contracts.
 //
 // Two kinds of assertions live here:
 //  * logical — counters, final states, and sweep figures must come out
@@ -15,96 +14,15 @@
 #include <utility>
 #include <vector>
 
-#include "causality/dependency_vector.hpp"
-#include "ckpt/sharded_checkpoint_store.hpp"
 #include "harness/fleet.hpp"
 #include "harness/sweep.hpp"
 #include "harness/system.hpp"
-#include "helpers.hpp"
 #include "metrics/storage_probe.hpp"
 #include "util/check.hpp"
 #include "workload/workload.hpp"
 
 namespace rdtgc {
 namespace {
-
-// ---- Background writer under a producer ---------------------------------
-
-TEST(ShardedStoreConcurrency, BackgroundWriterSurvivesParallelChurn) {
-  // The tsan probe for the durability pipeline's writer thread, the only
-  // concurrency left in the store: one producer thread churns puts and
-  // collects through a log-backed store under DurabilityPolicy::Background
-  // while the writer drains the ring into the medium concurrently and two
-  // probe threads poll the acked-vs-synced status the whole time.  Every
-  // cross-thread edge the pipeline has is exercised at once — slot
-  // publication and reuse under the ring lock, drains under the drain lock,
-  // and the lock-free status counters.  flush() then quiesces the ring and
-  // the final figures must be exact.
-  constexpr CheckpointIndex kPuts = 1024;
-  constexpr CheckpointIndex kWindow = 8;
-  test::ScratchDir dir("background_churn");
-  ckpt::StorageConfig config;
-  config.kind = ckpt::StorageBackendKind::kLogStructured;
-  config.directory = dir.path();
-  config.durability = ckpt::DurabilityPolicy::Background(4);
-  {
-    ckpt::ShardedCheckpointStore store(
-        0, ckpt::ShardedCheckpointStore::kDefaultShardCount,
-        ckpt::StoreConcurrency::kUnsynchronized, config);
-
-    std::atomic<bool> stop{false};
-    std::thread producer([&] {
-      causality::DependencyVector dv(4);
-      for (CheckpointIndex i = 0; i < kPuts; ++i) {
-        dv.at(0) = i;
-        store.put(i, dv, 0, 1);
-        if (i >= kWindow) store.collect(i - kWindow);
-      }
-    });
-    std::vector<std::thread> probes;
-    for (int t = 0; t < 2; ++t) {
-      probes.emplace_back([&] {
-        while (!stop.load(std::memory_order_acquire)) {
-          const ckpt::DurabilityStatus status = store.durability();
-          // Acks only ever run ahead of syncs, never behind.
-          ASSERT_GE(status.acked_ops, status.synced_ops);
-        }
-      });
-    }
-
-    producer.join();
-    stop.store(true, std::memory_order_release);
-    for (std::thread& t : probes) t.join();
-
-    // The acked mirror answers reads, so the figures are exact already.
-    const auto collected = static_cast<std::uint64_t>(kPuts - kWindow);
-    EXPECT_EQ(store.count(), static_cast<std::size_t>(kWindow));
-    EXPECT_EQ(store.stats().collected, collected);
-    EXPECT_EQ(store.stats().stored, static_cast<std::uint64_t>(kPuts));
-
-    // flush() quiesces the writer: everything acked is now synced.
-    store.flush();
-    const ckpt::DurabilityStatus status = store.durability();
-    EXPECT_EQ(status.lag_ops(), 0u);
-    EXPECT_EQ(status.acked_ops, static_cast<std::uint64_t>(kPuts) + collected);
-    EXPECT_EQ(store.durable_shard(0).stored_indices(), store.stored_indices());
-  }
-
-  // The durable image after the flush is the full final state.
-  config.open_mode = ckpt::OpenMode::kAttach;
-  ckpt::ShardedCheckpointStore reopened(
-      0, ckpt::ShardedCheckpointStore::kDefaultShardCount,
-      ckpt::StoreConcurrency::kUnsynchronized, config);
-  ASSERT_EQ(reopened.recover(), static_cast<std::size_t>(kWindow));
-  EXPECT_EQ(reopened.stats().collected,
-            static_cast<std::uint64_t>(kPuts - kWindow));
-  EXPECT_EQ(reopened.stats().stored, static_cast<std::uint64_t>(kPuts));
-  const std::vector<CheckpointIndex>& live = reopened.stored_indices();
-  ASSERT_EQ(live.size(), static_cast<std::size_t>(kWindow));
-  EXPECT_EQ(live.front(), kPuts - kWindow);
-  EXPECT_EQ(live.back(), kPuts - 1);
-  EXPECT_EQ(reopened.get(kPuts - 1).dv[0], kPuts - 1);
-}
 
 // ---- FleetRunner scheduling contracts ------------------------------------
 

@@ -1,236 +1,38 @@
-// The async durability pipeline's contract suite (ckpt/durability_pipeline.hpp).
+// The durability points of the persistent backends.
 //
-// What is certified here, mapped to the machinery:
-//  * policy equivalence — under kGroupCommit/kBackground every read and
-//    every counter still matches the flat reference after every op (the
-//    acked mirror serves reads), and a flushed store recovers bit-identical;
-//  * group-commit window math — a window of k ops reaches the medium as ONE
-//    fsync (log) / ONE msync (mmap), pinned via the backends'
-//    introspection counters and the pipeline's commits();
+// Every store mutation writes through to the medium before it returns, so
+// the only deferred step is the msync/fsync that makes the page cache
+// durable against an OS crash.  What is certified here:
 //  * dirty-flag skip — flush() with nothing written issues no syscall
 //    (regression for the fsyncs()/msyncs() counters);
 //  * flush error paths — an injected fsync/msync failure surfaces as
 //    util::IoError with mirror and medium still coherent;
-//  * commit error paths — a group commit whose sync fails is retried by the
-//    next flush() without re-applying its ops, and a background writer's
-//    I/O error is rethrown on the caller's thread instead of terminating;
-//  * kill inside the window — dropping a store mid-window recovers a
-//    consistent PREFIX of the acknowledged schedule: deterministic (the last
-//    commit boundary) under kGroupCommit, some drain boundary under
-//    kBackground, across randomized kill schedules on both media;
-//  * system-level crash cut — an unclean stop of a whole simulated system
-//    mid-window loses only each process's open window: every checkpoint the
-//    end-of-run Theorem-1 oracle calls non-obsolete that lies below a
-//    process's crash cut is still on its medium (obsoleteness is monotone,
-//    so the durable prefix can never have collected it);
-//  * the metrics::DurabilityLag probe and the sweep-summary plumbing.
+//  * compaction error path — the fsync of a log compaction's rewrite goes
+//    through the same seam, and its failure leaves the live log untouched.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
-#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
-#include "ccp/analysis.hpp"
-#include "ccp/precedence.hpp"
 #include "ckpt/checkpoint_store.hpp"
 #include "ckpt/log_backend.hpp"
 #include "ckpt/mmap_backend.hpp"
-#include "ckpt/sharded_checkpoint_store.hpp"
-#include "harness/scenario.hpp"
-#include "harness/sweep.hpp"
-#include "harness/system.hpp"
+#include "ckpt/storage_backend.hpp"
 #include "helpers.hpp"
-#include "metrics/durability_lag.hpp"
 #include "util/mapped_file.hpp"
-#include "util/rng.hpp"
-#include "workload/workload.hpp"
 
 namespace rdtgc {
 namespace {
 
 using ckpt::CheckpointStore;
-using ckpt::DurabilityPolicy;
 using ckpt::LogStructuredBackend;
 using ckpt::MmapFileBackend;
 using ckpt::OpenMode;
-using ckpt::ShardedCheckpointStore;
 using ckpt::StorageBackendKind;
 using ckpt::StorageConfig;
-using test::RandomStoreTrace;
 using test::ScratchDir;
-
-StorageConfig async_config(StorageBackendKind kind, const std::string& dir,
-                           DurabilityPolicy policy) {
-  StorageConfig config;
-  config.kind = kind;
-  config.directory = dir;
-  config.initial_slots = 2;        // exercise segment growth
-  config.compact_min_records = 16; // and log compaction inside windows
-  config.durability = policy;
-  return config;
-}
-
-const StorageBackendKind kPersistentKinds[] = {
-    StorageBackendKind::kMmapFile,
-    StorageBackendKind::kLogStructured,
-};
-
-// ---- Policy equivalence ---------------------------------------------------
-
-/// The acked mirror serves every read, so a pipelined store must match the
-/// flat reference after EVERY op — under any policy — and, once flushed,
-/// recover bit-identical from the media with the lag collapsed to zero.
-TEST(DurabilityEquivalence, AckedStateMatchesFlatReferenceUnderEveryPolicy) {
-  const DurabilityPolicy policies[] = {
-      DurabilityPolicy::GroupCommit(4),
-      DurabilityPolicy::GroupCommit(16, /*per_checkpoint=*/true),
-      DurabilityPolicy::Background(4),
-  };
-  for (const StorageBackendKind kind : kPersistentKinds) {
-    for (const DurabilityPolicy& policy : policies) {
-      const RandomStoreTrace trace(20260808);
-      CheckpointStore flat(3);
-      ScratchDir dir("policy_eq");
-      StorageConfig config = async_config(kind, dir.path(), policy);
-      auto store = std::make_unique<ShardedCheckpointStore>(
-          3, ShardedCheckpointStore::kDefaultShardCount,
-          ckpt::StoreConcurrency::kUnsynchronized, config);
-      ASSERT_TRUE(store->pipelined());
-
-      for (const RandomStoreTrace::Op& op : trace.ops()) {
-        trace.apply(op, flat);
-        trace.apply(op, *store);
-        test::expect_stores_equal(flat, *store);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
-
-      store->flush();
-      EXPECT_EQ(store->durability().lag_ops(), 0u);
-      store.reset();
-
-      config.open_mode = OpenMode::kAttach;
-      ShardedCheckpointStore reopened(
-          3, ShardedCheckpointStore::kDefaultShardCount,
-          ckpt::StoreConcurrency::kUnsynchronized, config);
-      ASSERT_EQ(reopened.recover(), flat.count());
-      test::expect_stores_equal(flat, reopened);
-      // reset_after_recover: the recovered store reports zero lag and a
-      // synced index equal to the acked one.
-      const ckpt::DurabilityStatus status = reopened.durability();
-      EXPECT_EQ(status.lag_ops(), 0u);
-      EXPECT_EQ(status.acked_index, status.synced_index);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-}
-
-// ---- Group-commit window math ---------------------------------------------
-
-/// k puts through a log store must reach the medium as ONE coalesced
-/// pwrite + fsync per window, with the lag counting the open tail.
-TEST(GroupCommitWindow, LogCoalescesKOpsIntoOneFsync) {
-  constexpr std::size_t kEvery = 4;
-  ScratchDir dir("gc_log");
-  const StorageConfig config =
-      async_config(StorageBackendKind::kLogStructured, dir.path(),
-                   DurabilityPolicy::GroupCommit(kEvery));
-  ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
-                               config);
-  const auto& log =
-      dynamic_cast<const LogStructuredBackend&>(store.durable_shard(0));
-  const std::uint64_t fsyncs_before = log.fsyncs();
-
-  causality::DependencyVector dv(4);
-  for (CheckpointIndex i = 0; i < 10; ++i) store.put(i, dv, 0, 1);
-
-  // 10 ops, window 4: two commits fired (at op 4 and op 8), two ops remain
-  // acked-but-unsynced, and each commit cost exactly one fsync.
-  ASSERT_NE(store.pipeline(), nullptr);
-  EXPECT_EQ(store.pipeline()->commits(), 2u);
-  EXPECT_EQ(log.fsyncs() - fsyncs_before, 2u);
-  const ckpt::DurabilityStatus status = store.durability();
-  EXPECT_EQ(status.acked_ops, 10u);
-  EXPECT_EQ(status.synced_ops, 8u);
-  EXPECT_EQ(status.lag_ops(), 2u);
-  EXPECT_EQ(status.acked_index, 9);
-  EXPECT_EQ(status.synced_index, 7);
-  EXPECT_EQ(store.durable_shard(0).count(), 8u);
-  EXPECT_EQ(store.count(), 10u);  // reads come from the acked mirror
-}
-
-/// Same window math on the mmap backend: the drain's mutations are mapped
-/// writes and the commit pays one msync, deferred from the hot path.
-TEST(GroupCommitWindow, MmapDefersMsyncToTheCommit) {
-  constexpr std::size_t kEvery = 4;
-  ScratchDir dir("gc_mmap");
-  const StorageConfig config =
-      async_config(StorageBackendKind::kMmapFile, dir.path(),
-                   DurabilityPolicy::GroupCommit(kEvery));
-  ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
-                               config);
-  const auto& mmap =
-      dynamic_cast<const MmapFileBackend&>(store.durable_shard(0));
-  const std::uint64_t msyncs_before = mmap.msyncs();
-
-  causality::DependencyVector dv(4);
-  for (CheckpointIndex i = 0; i < 9; ++i) store.put(i, dv, 0, 1);
-
-  EXPECT_EQ(store.pipeline()->commits(), 2u);
-  EXPECT_EQ(mmap.msyncs() - msyncs_before, 2u);
-  EXPECT_EQ(store.durability().lag_ops(), 1u);
-  EXPECT_EQ(store.durable_shard(0).count(), 8u);
-}
-
-/// every_checkpoint: each put closes the window immediately (checkpoint-
-/// granular durability) while collects batch until the next put.
-TEST(GroupCommitWindow, EveryCheckpointCommitsOnPutsAndBatchesCollects) {
-  ScratchDir dir("gc_everyckpt");
-  const StorageConfig config = async_config(
-      StorageBackendKind::kLogStructured, dir.path(),
-      DurabilityPolicy::GroupCommit(64, /*per_checkpoint=*/true));
-  ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
-                               config);
-  causality::DependencyVector dv(4);
-
-  store.put(0, dv, 0, 1);
-  EXPECT_EQ(store.durability().lag_ops(), 0u);  // put committed inline
-  EXPECT_EQ(store.pipeline()->commits(), 1u);
-
-  store.collect(0);
-  EXPECT_EQ(store.durability().lag_ops(), 1u);  // collects wait for a put
-
-  store.put(1, dv, 0, 1);  // drains the batched collect AND this put
-  EXPECT_EQ(store.durability().lag_ops(), 0u);
-  EXPECT_EQ(store.pipeline()->commits(), 2u);
-  EXPECT_EQ(store.durable_shard(0).count(), 1u);
-}
-
-/// flush() quiesces the pipeline: acked == synced afterwards and the
-/// durable backend mirrors the acked one exactly.
-TEST(GroupCommitWindow, FlushQuiescesAndDropsLagToZero) {
-  ScratchDir dir("gc_flush");
-  const StorageConfig config =
-      async_config(StorageBackendKind::kLogStructured, dir.path(),
-                   DurabilityPolicy::Background(8));
-  ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
-                               config);
-  causality::DependencyVector dv(4);
-  for (CheckpointIndex i = 0; i < 37; ++i) store.put(i, dv, 0, 1);
-  for (CheckpointIndex i = 0; i < 37; i += 3) store.collect(i);
-
-  store.flush();
-  const ckpt::DurabilityStatus status = store.durability();
-  EXPECT_EQ(status.lag_ops(), 0u);
-  EXPECT_EQ(status.acked_index, status.synced_index);
-  EXPECT_EQ(store.durable_shard(0).stored_indices(),
-            store.shard(0).stored_indices());
-}
 
 // ---- Dirty-flag flush skip (regression) -----------------------------------
 
@@ -345,387 +147,59 @@ TEST(FlushErrors, MmapMsyncFailureSurfacesAsIoErrorAndRollsTheCleanFlagBack) {
   EXPECT_TRUE(clean.recovered_clean());
 }
 
-// ---- Failed commits ------------------------------------------------------
-
-/// Fails every msync and fsync while installed; counts the attempts.
-std::atomic<int> g_failed_syncs{0};
-int failing_msync(void*, std::size_t, int) {
-  g_failed_syncs.fetch_add(1);
-  errno = EIO;
-  return -1;
-}
-int failing_fsync(int) {
-  g_failed_syncs.fetch_add(1);
-  errno = EIO;
-  return -1;
-}
-void inject_sync_failures(bool on) {
-  util::set_io_msync_for_test(on ? &failing_msync : nullptr);
-  util::set_io_fsync_for_test(on ? &failing_fsync : nullptr);
-}
-
-/// Regression: a group commit whose sync throws must not wedge the store.
-/// The commit fired by the 4th put fails; after the fault clears, flush()
-/// re-syncs the already-applied window instead of re-applying it (which
-/// used to throw ContractViolation on every later commit), and the durable
-/// state equals the acknowledged one, on the medium and after a reopen.
-TEST(CommitErrors, FailedGroupCommitIsRetriedWithoutReapplying) {
-  for (const StorageBackendKind kind : kPersistentKinds) {
-    SCOPED_TRACE(backend_kind_name(kind));
-    ScratchDir dir("commit_retry");
-    StorageConfig config =
-        async_config(kind, dir.path(), DurabilityPolicy::GroupCommit(4));
-    CheckpointStore flat(0);
-    {
-      ShardedCheckpointStore store(
-          0, ShardedCheckpointStore::kDefaultShardCount,
-          ckpt::StoreConcurrency::kUnsynchronized, config);
-      causality::DependencyVector dv(4);
-      for (CheckpointIndex i = 0; i < 3; ++i) {
-        dv.at(0) = i;
-        store.put(i, dv, 0, 1);
-        flat.put(i, dv, 0, 1);
-      }
-      inject_sync_failures(true);
-      dv.at(0) = 3;
-      EXPECT_THROW(store.put(3, dv, 0, 1), util::IoError);
-      inject_sync_failures(false);
-      flat.put(3, dv, 0, 1);  // the put was acknowledged before the commit
-
-      store.flush();
-      EXPECT_EQ(store.durability().lag_ops(), 0u);
-      test::expect_stores_equal(flat, store);
-      test::expect_stores_equal(flat, store.durable_shard(0));
-
-      // The store keeps committing normally afterwards.
-      for (CheckpointIndex i = 4; i < 10; ++i) {
-        store.put(i, dv, 0, 1);
-        flat.put(i, dv, 0, 1);
-      }
-      store.collect(2);
-      flat.collect(2);
-      store.flush();
-      test::expect_stores_equal(flat, store.durable_shard(0));
-    }
-    config.open_mode = OpenMode::kAttach;
-    ShardedCheckpointStore reopened(
-        0, ShardedCheckpointStore::kDefaultShardCount,
-        ckpt::StoreConcurrency::kUnsynchronized, config);
-    ASSERT_EQ(reopened.recover(), flat.count());
-    test::expect_stores_equal(flat, reopened);
-  }
-}
-
-/// Regression: an I/O error on the background writer's thread used to
-/// escape writer_main and terminate the process.  The writer now stores it
-/// and stops draining; flush() rethrows it on the caller's thread, and once
-/// the fault clears the next flush() drains everything and restarts the
-/// writer.
-TEST(CommitErrors, BackgroundWriterErrorIsRethrownByFlush) {
-  ScratchDir dir("writer_error");
-  StorageConfig config = async_config(StorageBackendKind::kMmapFile,
-                                      dir.path(), DurabilityPolicy::Background(4));
-  CheckpointStore flat(0);
+/// Compaction rewrites the live set into path.tmp, fsyncs it and renames it
+/// over the log.  When that fsync fails, the collect that triggered the
+/// compaction throws IoError before the rename: the live log stays the
+/// uncompacted one, already holding that collect's record, so a reattach
+/// replays it to the reference state — and the next compaction succeeds.
+TEST(FlushErrors, LogCompactionFsyncFailureLeavesTheLiveLogUntouched) {
+  ScratchDir dir("err_compact");
+  StorageConfig config;
+  config.kind = StorageBackendKind::kLogStructured;
+  config.directory = dir.path();
+  const std::string path = config.file(0);
+  constexpr std::size_t kMinRecords = 8;
+  CheckpointStore reference(0);
   {
-    ShardedCheckpointStore store(
-        0, ShardedCheckpointStore::kDefaultShardCount,
-        ckpt::StoreConcurrency::kUnsynchronized, config);
+    LogStructuredBackend log(0, path, OpenMode::kFresh, kMinRecords, 0.5);
     causality::DependencyVector dv(4);
-    g_failed_syncs.store(0);
-    inject_sync_failures(true);
-    for (CheckpointIndex i = 0; i < 8; ++i) {
-      dv.at(0) = i;
-      store.put(i, dv, 0, 1);
-      flat.put(i, dv, 0, 1);
+    for (CheckpointIndex g = 0; g < 6; ++g) {
+      dv.at(0) = g;
+      log.put(g, dv, g, 1);
+      reference.put(g, dv, g, 1);
     }
-    // Puts never sync under kBackground, so the first failed sync is the
-    // writer's; it stores the error before releasing the drain lock that
-    // flush() needs.
-    while (g_failed_syncs.load() == 0) std::this_thread::yield();
-    EXPECT_THROW(store.flush(), util::IoError);
-    inject_sync_failures(false);
+    log.collect(0);  // 7 records, 5 live: below the compaction trigger
+    reference.collect(0);
+    ASSERT_EQ(log.compactions(), 0u);
+    struct stat before {};
+    ASSERT_EQ(::stat(path.c_str(), &before), 0);
 
-    store.flush();
-    EXPECT_EQ(store.durability().lag_ops(), 0u);
-    test::expect_stores_equal(flat, store.durable_shard(0));
+    // 8 records, 4 live: this collect compacts, and its fsync fails.
+    util::set_io_fsync_for_test(+[](int) {
+      errno = EIO;
+      return -1;
+    });
+    EXPECT_THROW(log.collect(1), util::IoError);
+    util::set_io_fsync_for_test(nullptr);
+    reference.collect(1);
 
-    // The writer drains again after the successful flush.
-    for (CheckpointIndex i = 8; i < 40; ++i) {
-      store.put(i, dv, 0, 1);
-      flat.put(i, dv, 0, 1);
-    }
-    const std::uint64_t commits = store.pipeline()->commits();
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (store.durability().lag_ops() > 0 &&
-           std::chrono::steady_clock::now() < deadline)
-      std::this_thread::yield();
-    EXPECT_EQ(store.durability().lag_ops(), 0u) << "the writer did not resume";
-    EXPECT_GT(store.pipeline()->commits(), commits);
-    store.flush();
+    struct stat after {};
+    ASSERT_EQ(::stat(path.c_str(), &after), 0);
+    EXPECT_EQ(after.st_ino, before.st_ino) << "the rewrite was renamed in";
+    EXPECT_EQ(log.compactions(), 0u);
+    EXPECT_EQ(log.baseline_records(), 0u);
+    EXPECT_EQ(log.log_records(), 8u);
+    test::expect_stores_equal(reference, log);
   }
-  config.open_mode = OpenMode::kAttach;
-  ShardedCheckpointStore reopened(0, ShardedCheckpointStore::kDefaultShardCount,
-                                  ckpt::StoreConcurrency::kUnsynchronized,
-                                  config);
-  ASSERT_EQ(reopened.recover(), flat.count());
-  test::expect_stores_equal(flat, reopened);
-}
+  LogStructuredBackend reopened(0, path, OpenMode::kAttach, kMinRecords, 0.5);
+  ASSERT_EQ(reopened.recover(), reference.count());
+  EXPECT_EQ(reopened.log_records(), 8u);
+  test::expect_stores_equal(reference, reopened);
 
-// ---- Kill inside the window -----------------------------------------------
-
-/// kGroupCommit is deterministic: inline commits fire every k ops, so a
-/// drop mid-window recovers EXACTLY the last commit boundary's prefix.
-TEST(KillInsideWindow, GroupCommitRecoversExactlyTheLastCommittedWindow) {
-  constexpr std::size_t kEvery = 4;
-  for (const StorageBackendKind kind : kPersistentKinds) {
-    util::Rng rng(0x9e3779b9ull ^ static_cast<std::uint64_t>(kind));
-    for (int round = 0; round < 4; ++round) {
-      const RandomStoreTrace trace(7000 + round);
-      const std::size_t kill = 1 + rng.uniform(trace.ops().size());
-      const std::size_t boundary = (kill / kEvery) * kEvery;
-
-      ScratchDir dir("kill_gc");
-      StorageConfig config = async_config(kind, dir.path(),
-                                          DurabilityPolicy::GroupCommit(kEvery));
-      auto store = std::make_unique<ShardedCheckpointStore>(
-          1, ShardedCheckpointStore::kDefaultShardCount,
-          ckpt::StoreConcurrency::kUnsynchronized, config);
-      trace.replay_prefix(*store, kill);
-      store.reset();  // crash: the open window is discarded
-
-      config.open_mode = OpenMode::kAttach;
-      ShardedCheckpointStore reopened(
-          1, ShardedCheckpointStore::kDefaultShardCount,
-          ckpt::StoreConcurrency::kUnsynchronized, config);
-      reopened.recover();
-      const std::size_t prefix =
-          test::expect_consistent_prefix(trace, reopened, kill, boundary);
-      EXPECT_EQ(prefix, boundary)
-          << backend_kind_name(kind) << " kill=" << kill;
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-}
-
-/// The tentpole crash property: randomized kill schedules inside open
-/// windows, on both media and under every async policy, always recover to
-/// a consistent prefix of the acknowledged schedule — never a reordering,
-/// never a gap.  (kBackground cuts at whatever drain boundary the writer
-/// reached, so only SOME-prefix is asserted there.)
-TEST(KillInsideWindow, RandomizedKillsRecoverAConsistentPrefix) {
-  const DurabilityPolicy policies[] = {
-      DurabilityPolicy::GroupCommit(4),
-      DurabilityPolicy::GroupCommit(16, /*per_checkpoint=*/true),
-      DurabilityPolicy::Background(3),
-  };
-  util::Rng rng(0xabad1deaull);
-  for (const StorageBackendKind kind : kPersistentKinds) {
-    for (const DurabilityPolicy& policy : policies) {
-      for (int round = 0; round < 3; ++round) {
-        const RandomStoreTrace trace(9100 + round);
-        const std::size_t kill = 1 + rng.uniform(trace.ops().size());
-
-        ScratchDir dir("kill_rand");
-        StorageConfig config = async_config(kind, dir.path(), policy);
-        auto store = std::make_unique<ShardedCheckpointStore>(
-            2, ShardedCheckpointStore::kDefaultShardCount,
-            ckpt::StoreConcurrency::kUnsynchronized, config);
-        trace.replay_prefix(*store, kill);
-        store.reset();
-
-        config.open_mode = OpenMode::kAttach;
-        ShardedCheckpointStore reopened(
-            2, ShardedCheckpointStore::kDefaultShardCount,
-            ckpt::StoreConcurrency::kUnsynchronized, config);
-        reopened.recover();
-        test::expect_consistent_prefix(trace, reopened, kill);
-        EXPECT_EQ(reopened.durability().lag_ops(), 0u);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
-    }
-  }
-}
-
-// ---- System-level crash cut against the paper's oracles -------------------
-
-/// An unclean stop of a whole simulated system mid-window.  Each process's
-/// store recovers the state at SOME earlier point of its own acknowledged
-/// history (its crash cut), so the end-of-run Theorem-1 oracle certifies
-/// the cut via obsoleteness monotonicity: a checkpoint non-obsolete at the
-/// end of the run was non-obsolete at every earlier moment it existed, so
-/// Theorem-1 GC can never have collected it — every non-obsolete
-/// checkpoint BELOW the cut must have survived the crash.
-///
-/// Deliberately NOT asserted: a joint recovery line across the recovered
-/// stores.  The pipeline guarantees a consistent prefix PER PROCESS, not a
-/// consistent durable frontier ACROSS processes — one process's crash cut
-/// can regress behind what its peers' Theorem-1 GC (which ran against
-/// acknowledged state) assumed durable, which is exactly the stable-storage
-/// model gap metrics::DurabilityLag quantifies (see docs/PAPER_MAP.md).
-TEST(SystemCrash, MidWindowKillKeepsEveryNonObsoleteCheckpointBelowTheCut) {
-  for (const StorageBackendKind kind : kPersistentKinds) {
-    ScratchDir dir("system_crash");
-    test::RunSpec spec;
-    spec.n = 4;
-    spec.duration = 3000;
-    spec.seed = 29;
-    spec.storage = async_config(kind, dir.path(),
-                                DurabilityPolicy::GroupCommit(32));
-    auto system = test::run_workload(spec);
-    const auto n = static_cast<ProcessId>(spec.n);
-
-    // Oracle artifacts, computed while the recorder is still alive.
-    const ccp::CausalGraph causal(system->recorder());
-    const auto obsolete = ccp::obsolete_theorem1(system->recorder(), causal);
-    std::vector<CheckpointIndex> last_stable(spec.n);
-    for (ProcessId p = 0; p < n; ++p)
-      last_stable[static_cast<std::size_t>(p)] =
-          system->recorder().last_stable(p);
-
-    system.reset();  // unclean stop: every pipeline's open window is gone
-
-    StorageConfig attach = spec.storage;
-    attach.open_mode = OpenMode::kAttach;
-    for (ProcessId p = 0; p < n; ++p) {
-      ShardedCheckpointStore reopened(
-          p, ShardedCheckpointStore::kDefaultShardCount,
-          ckpt::StoreConcurrency::kUnsynchronized, attach);
-      reopened.recover();
-      ASSERT_GT(reopened.count(), 0u);  // s^0 is flushed at start_fresh
-
-      // The recovered lineage is a prefix of the acknowledged one...
-      const CheckpointIndex cut = reopened.last_index();
-      EXPECT_LE(cut, last_stable[static_cast<std::size_t>(p)]);
-
-      // ...and Theorem-1 safety holds below the cut: anything the oracle
-      // calls non-obsolete (over the FULL recorded CCP) that was taken by
-      // the cut must still be stored — the durable prefix replays collects
-      // in acknowledgment order, and none of them can have touched it.
-      const auto& flags = obsolete[static_cast<std::size_t>(p)];
-      for (CheckpointIndex g = 0; g <= cut; ++g) {
-        if (!flags[static_cast<std::size_t>(g)]) {
-          EXPECT_TRUE(reopened.contains(g))
-              << backend_kind_name(kind) << ": non-obsolete s_" << p << "^"
-              << g << " below the crash cut " << cut << " is missing";
-        }
-      }
-    }
-  }
-}
-
-// ---- metrics::DurabilityLag -----------------------------------------------
-
-TEST(DurabilityLagProbe, CertifiesZeroLagUnderSyncPolicy) {
-  harness::SystemConfig config;
-  config.process_count = 4;
-  config.seed = 5;
-  harness::System system(config);  // in-memory storage: no pipeline
-
-  workload::WorkloadConfig wl;
-  wl.seed = 55;
-  wl.checkpoint_probability = 0.2;
-  workload::WorkloadDriver driver(system.simulator(), system.node_ptrs(), wl);
-  driver.start(2000);
-
-  metrics::DurabilityLag lag(system.simulator(),
-                             std::as_const(system).node_ptrs());
-  lag.start(16, 2000);
-  system.simulator().run();
-
-  EXPECT_GT(lag.global_series().samples().size(), 10u);
-  EXPECT_EQ(lag.peak_lag_ops(), 0u);
-  EXPECT_EQ(lag.peak_index_gap(), 0);
-  EXPECT_EQ(lag.global_series().stat().max(), 0.0);
-}
-
-TEST(DurabilityLagProbe, SamplesBackgroundLagAndSeesTheFlushQuiesce) {
-  ScratchDir dir("probe");
-  harness::SystemConfig config;
-  config.process_count = 4;
-  config.seed = 7;
-  config.node.storage = async_config(StorageBackendKind::kLogStructured,
-                                     dir.path(),
-                                     DurabilityPolicy::Background(16));
-  harness::System system(config);
-
-  workload::WorkloadConfig wl;
-  wl.seed = 77;
-  wl.checkpoint_probability = 0.25;
-  workload::WorkloadDriver driver(system.simulator(), system.node_ptrs(), wl);
-  driver.start(2000);
-
-  metrics::DurabilityLag lag(system.simulator(),
-                             std::as_const(system).node_ptrs());
-  lag.start(16, 2000);
-  system.simulator().run();
-
-  EXPECT_GT(lag.global_series().samples().size(), 10u);
-  EXPECT_EQ(lag.per_process().size(), 4u);
-
-  // Quiesce every pipeline, then one more sample must read zero lag.
-  for (ProcessId p = 0; p < 4; ++p) system.node(p).store().flush();
-  lag.sample();
-  ASSERT_FALSE(lag.global_series().samples().empty());
-  EXPECT_EQ(lag.global_series().samples().back().second, 0.0);
-}
-
-TEST(SweepSummary, AggregatesDurabilityLagAcrossRuns) {
-  harness::SweepRun a;
-  a.durability_lag.add(2.0);
-  a.durability_lag.add(4.0);
-  a.peak_durability_lag = 6.0;
-  harness::SweepRun b;
-  b.durability_lag.add(8.0);
-  b.peak_durability_lag = 9.0;
-
-  const harness::SweepSummary summary = harness::summarize_sweep({a, b});
-  EXPECT_EQ(summary.durability_lag.count(), 3u);
-  EXPECT_EQ(summary.durability_lag.max(), 8.0);
-  EXPECT_EQ(summary.peak_durability_lag.count(), 2u);
-  EXPECT_EQ(summary.peak_durability_lag.max(), 9.0);
-}
-
-// ---- Scenario on an async policy ------------------------------------------
-
-/// A scripted CCP replayed over async media is protocol-identical to the
-/// in-memory run: the pipeline changes WHEN bytes reach the medium, never
-/// what the middleware observes.
-TEST(ScenarioDurability, AsyncPolicyKeepsScriptedRunsIdentical) {
-  ScratchDir dir("scenario");
-  StorageConfig media = async_config(StorageBackendKind::kLogStructured,
-                                     dir.path(),
-                                     DurabilityPolicy::GroupCommit(2));
-  harness::Scenario persistent(3, ckpt::ProtocolKind::kFdas,
-                               harness::GcChoice::kRdtLgc, media);
-  harness::Scenario memory(3, ckpt::ProtocolKind::kFdas,
-                           harness::GcChoice::kRdtLgc);
-
-  const auto script = [](harness::Scenario& s) {
-    s.checkpoint(0);
-    s.send(0, 1, "m1");
-    s.deliver("m1");
-    s.checkpoint(1);
-    s.send(1, 2, "m2");
-    s.deliver("m2");
-    s.checkpoint(2);
-    s.send(2, 0, "m3");
-    s.deliver("m3");
-    s.checkpoint(0);
-    s.checkpoint(1);
-  };
-  script(persistent);
-  script(memory);
-
-  for (ProcessId p = 0; p < 3; ++p) {
-    EXPECT_EQ(persistent.node(p).store().stored_indices(),
-              memory.node(p).store().stored_indices())
-        << "async media perturbed the scripted run at p" << p;
-    ASSERT_TRUE(persistent.node(p).store().pipelined());
-    EXPECT_GT(persistent.node(p).store().pipeline()->commits(), 0u);
-  }
-  test::audit_safety_theorem1(persistent.system());
-  test::audit_bounds(persistent.system());
+  reopened.collect(2);  // 9 records, 3 live: compacts, fault cleared
+  reference.collect(2);
+  EXPECT_EQ(reopened.compactions(), 1u);
+  test::expect_stores_equal(reference, reopened);
 }
 
 }  // namespace

@@ -40,7 +40,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,30 +58,6 @@ inline std::string sanitize(std::string s) {
   for (char& c : s)
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   return s;
-}
-
-/// Durability policy forced by the RDTGC_FORCE_DURABILITY env var — the CI
-/// forced-policy leg re-runs the persistent-storage suites with the async
-/// pipeline on: "sync", "group" (group commit, window 8), or "background".
-/// nullopt when unset.
-inline std::optional<ckpt::DurabilityPolicy> forced_durability() {
-  const char* env = std::getenv("RDTGC_FORCE_DURABILITY");
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  const std::string value(env);
-  if (value == "sync") return ckpt::DurabilityPolicy::Sync();
-  if (value == "group") return ckpt::DurabilityPolicy::GroupCommit(8);
-  if (value == "background") return ckpt::DurabilityPolicy::Background(8);
-  ADD_FAILURE() << "unknown RDTGC_FORCE_DURABILITY value: " << value;
-  return std::nullopt;
-}
-
-/// Apply the forced policy (if any) to a storage config; in-memory configs
-/// are left alone (the pipeline only exists over persistent media).
-inline ckpt::StorageConfig with_forced_durability(ckpt::StorageConfig config) {
-  if (config.kind != ckpt::StorageBackendKind::kInMemory) {
-    if (const auto forced = forced_durability()) config.durability = *forced;
-  }
-  return config;
 }
 
 inline void audit_eq2(const ccp::CcpRecorder& recorder) {
@@ -314,16 +289,6 @@ class RandomStoreTrace {
     for (const Op& op : ops_) apply(op, store);
   }
 
-  /// Replay only the first `count` ops — the kill-inside-the-commit-window
-  /// schedules: a crash test replays a random prefix, drops the store with
-  /// the tail of the last group-commit window still un-synced, and audits
-  /// what recovery reconstructs.
-  template <typename Store>
-  void replay_prefix(Store& store, std::size_t count) const {
-    count = std::min(count, ops_.size());
-    for (std::size_t i = 0; i < count; ++i) apply(ops_[i], store);
-  }
-
  private:
   std::size_t dv_width_;
   std::vector<Op> ops_;
@@ -354,57 +319,6 @@ void expect_stores_equal(const Reference& reference, const Store& store) {
     // the mmap backend this compares the mapped file against the mirror).
     ASSERT_TRUE(store.dv_view(g) == reference.get(g).dv) << "index " << g;
   }
-}
-
-/// Non-asserting variant of expect_stores_equal, for searching over crash
-/// candidates: true iff the two stores' full observable state (indices,
-/// payloads, counters, lifetime stats) matches.
-template <typename Reference, typename Store>
-bool stores_match(const Reference& reference, const Store& store) {
-  if (store.stored_indices() != reference.stored_indices()) return false;
-  if (store.count() != reference.count()) return false;
-  if (store.bytes() != reference.bytes()) return false;
-  const auto& rs = reference.stats();
-  const auto& ss = store.stats();
-  if (ss.stored != rs.stored || ss.collected != rs.collected ||
-      ss.discarded != rs.discarded || ss.peak_count != rs.peak_count ||
-      ss.peak_bytes != rs.peak_bytes) {
-    return false;
-  }
-  for (const CheckpointIndex g : reference.stored_indices()) {
-    if (!store.contains(g)) return false;
-    if (!(store.get(g).dv == reference.get(g).dv)) return false;
-    if (store.get(g).bytes != reference.get(g).bytes) return false;
-    if (store.get(g).stored_at != reference.get(g).stored_at) return false;
-  }
-  return true;
-}
-
-/// The async-durability crash contract (durability_pipeline.hpp): a store
-/// dropped mid-window must recover to the state after SOME prefix of the
-/// acknowledged schedule — never a reordering, never a gap.  Replays
-/// `trace`'s schedule op by op into a fresh in-memory reference (same owner
-/// as `store`) and asserts the recovered `store` matches one of the
-/// intermediate states, at or after `at_least` applied ops and at most
-/// `applied` (the ops acknowledged before the drop).  Returns the
-/// prefix length found.
-template <typename Store>
-std::size_t expect_consistent_prefix(const RandomStoreTrace& trace,
-                                     const Store& store, std::size_t applied,
-                                     std::size_t at_least = 0) {
-  ckpt::ShardedCheckpointStore reference(store.owner());
-  applied = std::min(applied, trace.ops().size());
-  std::size_t prefix = 0;
-  if (at_least == 0 && stores_match(reference, store)) return 0;
-  for (std::size_t i = 0; i < applied; ++i) {
-    trace.apply(trace.ops()[i], reference);
-    ++prefix;
-    if (prefix >= at_least && stores_match(reference, store)) return prefix;
-  }
-  ADD_FAILURE() << "recovered store matches no prefix of the acknowledged "
-                   "schedule (applied="
-                << applied << ", at_least=" << at_least << ")";
-  return prefix;
 }
 
 /// RAII scratch directory for the persistent storage backends, created

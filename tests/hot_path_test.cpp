@@ -438,34 +438,20 @@ TEST(HotPathAllocations, ShardedStoreChurnIsAllocationFree) {
       << "steady-state put/collect churn touched the heap";
 }
 
-TEST(HotPathAllocations, PersistentChurnIsAllocationFreeUnderEveryPolicy) {
-  // The async-durability tentpole's hot-path contract: with a persistent
-  // backend the acknowledge path — flat-mirror put/collect plus a pipeline
-  // ring enqueue into preallocated slots — must stay allocation-free in all
-  // three DurabilityPolicy modes once warm, INCLUDING the inline group
-  // commits the kGroupCommit churn triggers (drains replay through reused
-  // scratch buffers) and the kBackground writer's concurrent drains (the
-  // counter hook is global, so a writer-thread allocation fails this too).
-  // Log compaction is configured out of reach: its rewrite path is off the
-  // steady-state contract, exactly as for the kSync backends.
+TEST(HotPathAllocations, PersistentChurnIsAllocationFreeOnEveryMedium) {
+  // With a persistent backend every put/collect writes through to the
+  // medium (a log append or a slot write in the mapping), and that path
+  // must stay allocation-free once warm: the mirror, the recycled spare and
+  // the backend's serialization scratch are sized by the warm-up.  Log
+  // compaction is configured out of reach: its rewrite path is off the
+  // steady-state contract.
   struct Case {
     ckpt::StorageBackendKind kind;
-    ckpt::DurabilityPolicy policy;
     const char* name;
   };
   const Case cases[] = {
-      {ckpt::StorageBackendKind::kLogStructured,
-       ckpt::DurabilityPolicy::Sync(), "log_sync"},
-      {ckpt::StorageBackendKind::kLogStructured,
-       ckpt::DurabilityPolicy::GroupCommit(4), "log_group"},
-      {ckpt::StorageBackendKind::kLogStructured,
-       ckpt::DurabilityPolicy::Background(4), "log_background"},
-      {ckpt::StorageBackendKind::kMmapFile, ckpt::DurabilityPolicy::Sync(),
-       "mmap_sync"},
-      {ckpt::StorageBackendKind::kMmapFile,
-       ckpt::DurabilityPolicy::GroupCommit(4), "mmap_group"},
-      {ckpt::StorageBackendKind::kMmapFile,
-       ckpt::DurabilityPolicy::Background(4), "mmap_background"},
+      {ckpt::StorageBackendKind::kLogStructured, "log"},
+      {ckpt::StorageBackendKind::kMmapFile, "mmap"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -475,17 +461,12 @@ TEST(HotPathAllocations, PersistentChurnIsAllocationFreeUnderEveryPolicy) {
     config.directory = dir.path();
     config.initial_slots = 256;
     config.compact_min_records = 1u << 20;
-    config.durability = c.policy;
     ckpt::ShardedCheckpointStore store(
         0, ckpt::ShardedCheckpointStore::kDefaultShardCount,
         ckpt::StoreConcurrency::kUnsynchronized, config);
     causality::DependencyVector dv(8);
     const CheckpointIndex window = 16;
     CheckpointIndex next = 0;
-    // Warm-up: the churn sizes the flat mirror, the recycled spare, the
-    // pipeline's slot DV buffers, and the backend's serialization scratch;
-    // the flush sizes the drain-side batch buffers at their maximum (it
-    // drains the whole pending window in one pass).
     for (; next < window; ++next) store.put(next, dv, 0, 1);
     for (CheckpointIndex g = 0; g < window / 2; ++g) store.collect(g);
     for (int round = 0; round < 64; ++round) {
@@ -504,12 +485,7 @@ TEST(HotPathAllocations, PersistentChurnIsAllocationFreeUnderEveryPolicy) {
       ++next;
     }
     EXPECT_EQ(g_allocation_count.load() - before, 0u)
-        << "persistent churn touched the heap under policy " << c.name;
-    if (c.policy.mode == ckpt::DurabilityMode::kGroupCommit) {
-      ASSERT_NE(store.pipeline(), nullptr);
-      EXPECT_GT(store.pipeline()->commits(), 200u / 4u)
-          << "the measured window never exercised an inline group commit";
-    }
+        << "persistent churn touched the heap on " << c.name;
   }
 }
 
