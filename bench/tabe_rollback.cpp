@@ -21,6 +21,7 @@
 #include "ckpt/storage_backend.hpp"
 #include "harness/system.hpp"
 #include "recovery/failure_injector.hpp"
+#include "recovery/lemma1.hpp"
 #include "recovery/recovery_manager.hpp"
 #include "workload/workload.hpp"
 
@@ -129,7 +130,7 @@ Row run(const std::string& name, ckpt::ProtocolKind protocol,
       const std::vector<CheckpointIndex> oracle = ccp::recovery_line_lemma1(
           system.recorder(), dv_causal, all_faulty);
       const std::vector<CheckpointIndex> line =
-          recovery::recovery_line_from_storage(ptrs);
+          recovery::lemma1_plan(all_faulty, recovery::StoreDvs{ptrs}).line;
       for (std::size_t p = 0; p < n; ++p)
         ok = ok && line[p] == std::min(oracle[p], ptrs[p]->last_index());
     }

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <utility>
 
 #include "util/check.hpp"
@@ -220,15 +221,18 @@ void LogStructuredBackend::compact() {
   const std::string tmp = path_ + ".tmp";
   const int tmp_fd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (tmp_fd < 0) throw_errno("open", tmp);
-  // Close tmp_fd on every exit except the success path, where it becomes
-  // fd_ — an ENOSPC mid-rewrite must not leak one descriptor per retried
-  // compaction.
-  struct FdGuard {
+  // Close and unlink the rewrite on every exit but success, where tmp_fd
+  // becomes fd_: a failed pass (ENOSPC mid-rewrite, a failed fsync) leaks
+  // neither a descriptor nor a stale path.tmp.
+  struct TmpGuard {
     int fd;
-    ~FdGuard() {
-      if (fd >= 0) ::close(fd);
+    const std::string& path;
+    ~TmpGuard() {
+      if (fd < 0) return;
+      ::close(fd);
+      ::unlink(path.c_str());
     }
-  } guard{tmp_fd};
+  } guard{tmp_fd, tmp};
 
   LogHeader h{};
   h.magic = kLogMagic;
@@ -268,9 +272,10 @@ void LogStructuredBackend::compact() {
   baseline_records_ = mem_.count();
   ++compactions_;
   // The compacted data was fsync'd before the rename, but the rename
-  // itself (the directory entry) was not — conservatively keep the log
-  // dirty so the next flush() issues a real durability point.
+  // itself (the directory entry) was not: the next flush() fsyncs the file
+  // and then the directory.
   dirty_ = true;
+  dir_unsynced_ = true;
 }
 
 std::size_t LogStructuredBackend::recover() {
@@ -328,10 +333,24 @@ std::size_t LogStructuredBackend::recover() {
 }
 
 void LogStructuredBackend::flush() {
-  if (!dirty_) return;  // nothing reached the medium since the last fsync
-  if (util::io_fsync(fd_) != 0) throw_errno("fsync", path_);
-  ++fsyncs_;
-  dirty_ = false;
+  if (dirty_) {
+    if (util::io_fsync(fd_) != 0) throw_errno("fsync", path_);
+    ++fsyncs_;
+    dirty_ = false;
+  }
+  if (dir_unsynced_) {
+    // Without it an OS crash can bring the pre-compaction log back.  A
+    // failure leaves the flag set, so the next flush() retries.
+    const std::string dir =
+        std::filesystem::absolute(path_).parent_path().string();
+    const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dir_fd < 0) throw_errno("open", dir);
+    const int rc = util::io_fsync(dir_fd);
+    ::close(dir_fd);
+    if (rc != 0) throw_errno("fsync", dir);
+    ++fsyncs_;
+    dir_unsynced_ = false;
+  }
 }
 
 }  // namespace rdtgc::ckpt

@@ -19,7 +19,9 @@
 // dead fraction (1 − live/records) reaches `compact_dead_ratio`, the live
 // records are rewritten in ascending index order behind a fresh header into
 // `path.tmp`, fsync'd, and atomically renamed over the log — the truncation
-// step of a log-structured store.  The GC drives compaction indirectly:
+// step of a log-structured store.  The next flush() fsyncs the directory
+// too, so the rename survives an OS crash; a failed pass unlinks path.tmp
+// and leaves the live log as it was.  The GC drives compaction indirectly:
 // eliminations are what create dead records, so a collector that reclaims
 // more (RDT-LGC at the Theorem-1 optimum) also compacts the log harder.
 //
@@ -84,8 +86,10 @@ class LogStructuredBackend final : public StorageBackend {
   const StoreStats& stats() const override { return mem_.stats(); }
 
   std::size_t recover() override;
-  /// fsync the log (the durability point).  Skipped entirely when nothing
-  /// was written since the last flush (the dirty flag; see fsyncs()).
+  /// fsync the log (the durability point), then its directory when a
+  /// compaction renamed a rewrite over it since.  A step with nothing to
+  /// make durable is skipped; a failed step stays pending for the next
+  /// flush().
   void flush() override;
 
   // ---- Introspection (tests, benches) ----
@@ -96,7 +100,7 @@ class LogStructuredBackend final : public StorageBackend {
   std::uint64_t baseline_records() const { return baseline_records_; }
   /// Compaction passes run over this object's lifetime.
   std::uint64_t compactions() const { return compactions_; }
-  /// flush() fsync syscalls actually issued (dirty-flag skips excluded).
+  /// flush() fsync syscalls actually issued, file and directory alike.
   std::uint64_t fsyncs() const { return fsyncs_; }
   const std::string& path() const { return path_; }
 
@@ -129,6 +133,8 @@ class LogStructuredBackend final : public StorageBackend {
   bool pending_recover_ = false;
   /// Unsynced bytes reached the medium since the last successful flush().
   bool dirty_ = false;
+  /// A compaction's rename is not yet durable in the log's directory.
+  bool dir_unsynced_ = false;
   std::vector<std::byte> scratch_;  ///< reusable record serialization buffer
 
   static constexpr std::uint32_t kWidthUnset = 0xffffffffu;

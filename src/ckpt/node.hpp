@@ -48,9 +48,9 @@ class Node {
     ///    interval numbering past the highest persisted index, and rebuilds
     ///    the collector's state from the recovered DV views
     ///    (GarbageCollector::on_attach).  A cluster-wide restart couples
-    ///    this with recovery::recovery_line_from_storage: attach every
-    ///    process, compute the Lemma-1 line over the recovered stores, then
-    ///    rollback_to() the line members.
+    ///    this with recovery::lemma1_plan over recovery::StoreDvs: attach
+    ///    every process, plan the Lemma-1 line over the recovered stores
+    ///    with F = all, then rollback_to() the line members.
     StorageConfig storage;
     Config() : checkpoint_bytes(1) {}
   };

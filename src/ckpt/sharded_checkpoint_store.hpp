@@ -18,8 +18,8 @@
 // nothing else.
 //
 // Reopening: construct with OpenMode::kAttach over the same directory and
-// call recover() before any mutation; recovery::recovery_line_from_storage()
-// builds a full restart-from-disk on it.
+// call recover() before any mutation; recovery::lemma1_plan over
+// recovery::StoreDvs builds a full restart-from-disk on it.
 //
 // Name and shape kept for e2ebench/: the class name, this header's path,
 // kDefaultShardCount, StoreConcurrency::kUnsynchronized, the 4-argument
@@ -103,11 +103,12 @@ class ShardedCheckpointStore {
   }
 
   /// Garbage-collection elimination of an obsolete checkpoint.
-  /// Allocation-free.
+  /// Allocation-free.  Never retry on IoError (StorageBackend::collect).
   void collect(CheckpointIndex index);
 
   /// Rollback discard of every checkpoint with index > ri (Algorithm 3
-  /// line 4).  Returns how many were discarded.  Allocation-free.
+  /// line 4).  Returns how many were discarded.  Allocation-free.  Never
+  /// retry on IoError.
   std::size_t discard_after(CheckpointIndex ri);
 
   /// Currently stored indices, ascending.  O(1): a live view invalidated by

@@ -179,11 +179,12 @@ class StorageBackend {
   /// next mutation (segment growth remaps).
   virtual causality::DvView dv_view(CheckpointIndex index) const = 0;
 
-  /// Garbage-collection elimination of an obsolete checkpoint.
+  /// Garbage-collection elimination of an obsolete checkpoint.  An IoError
+  /// from the compaction it triggers means it is applied: do not retry.
   virtual void collect(CheckpointIndex index) = 0;
 
   /// Rollback discard of every checkpoint with index > ri (Algorithm 3
-  /// line 4).  Returns how many were discarded.
+  /// line 4).  Returns how many were discarded.  Same IoError rule.
   virtual std::size_t discard_after(CheckpointIndex ri) = 0;
 
   /// Currently stored indices, ascending.  Live view, invalidated by the

@@ -4,10 +4,12 @@
 //
 // Two recovery-line algorithms are provided:
 //  * kLemma1 — the paper's Lemma 1 (causal precedence over dependency
-//    vectors); correct exactly when the CCP is RD-trackable.
+//    vectors), planned from the nodes' own state (recovery/lemma1.hpp);
+//    correct exactly when the CCP is RD-trackable.
 //  * kRGraph — generic rollback propagation on the R-graph (Wang et al.
-//    [21]); correct for any CCP, used for non-RDT runs (Figure 2's domino
-//    demonstration) and as a cross-check oracle for Lemma 1.
+//    [21]) over the recorder's message edges; correct for any CCP, used for
+//    non-RDT runs (Figure 2's domino demonstration) and as a cross-check
+//    oracle for Lemma 1.
 //
 // Two information models for Algorithm 3 at the processes (§4.3):
 //  * global information — each process receives the LI vector
@@ -28,6 +30,7 @@
 #include "causality/types.hpp"
 #include "ccp/recorder.hpp"
 #include "ckpt/node.hpp"
+#include "recovery/lemma1.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -46,23 +49,6 @@ struct RecoveryOutcome {
   /// Σ_p (last_general(p) - line[p]).
   std::uint64_t general_checkpoints_rolled_back = 0;
 };
-
-/// Recovery line of a FULL restart from stable storage alone (§2.4 taken to
-/// its limit: every process failed, no volatile state, no recorder — only
-/// what the persistent checkpoint-store backends wrote to disk survives).
-///
-/// `stores` holds one reopened store per process (constructed with
-/// OpenMode::kAttach over the original directory, then recover()ed — see
-/// ckpt/sharded_checkpoint_store.hpp).  The line is Lemma 1 specialized to
-/// F = all processes, evaluated over the STORED dependency vectors through
-/// the backend trait's dv_view (Equation 2: c_a^α → c_b^β ⇔ α < DV(c_b^β)[a]):
-/// per process the latest stored checkpoint not causally preceded by any
-/// peer's last stored checkpoint.  Theorem 1 guarantees the line's members
-/// were never collected, so an entry always exists; RD-trackability makes
-/// the result exact.  Throws ContractViolation on an empty store (a process
-/// with no recovered checkpoint cannot restart).
-std::vector<CheckpointIndex> recovery_line_from_storage(
-    const std::vector<const ckpt::ShardedCheckpointStore*>& stores);
 
 /// Restart-safe process accessor (harness::System::node_provider): resolves
 /// the CURRENT Node of p, surviving warm restarts that replace the object.
@@ -87,21 +73,20 @@ class RecoveryManager {
                   Config config);
 
   /// Run a recovery session for the given faulty set, now.
-  RecoveryOutcome recover(const std::vector<ProcessId>& faulty);
+  RecoveryOutcome recover(const std::vector<ProcessId>& faulty) {
+    return execute(plan(faulty));
+  }
 
-  /// A computed-but-not-applied session: the Lemma-1 line, its LI vector,
-  /// and the faulty set it was computed for.  `plan()` is pure (reads the
-  /// recorder only); `apply_to()` executes the session at one process.  The
-  /// split exists for the wire-driven sessions: the fleet parent broadcasts
-  /// a plan and applies it per-process as RolledBack acks arrive, and the
-  /// replay oracle mirrors exactly that incremental order — recover() is
-  /// plan() + apply_to(p) for every p under a paused network.
-  struct SessionPlan {
-    std::vector<CheckpointIndex> line;
-    std::vector<IntervalIndex> li;
-    std::vector<bool> faulty_mask;
-  };
+  /// Execute a planned session everywhere, now: freeze the network, drop
+  /// what is in transit, apply_to(p) for every p, resume.
+  RecoveryOutcome execute(const SessionPlan& session);
 
+  /// plan() is pure: the Lemma-1 line (recovery/lemma1.hpp) over the
+  /// nodes' stores and volatile DVs, or the R-graph line over the recorder.
+  /// apply_to() executes the session at one process.  The split exists for
+  /// the wire-driven sessions: the fleet parent broadcasts a plan and
+  /// applies it per-process as RolledBack acks arrive, and the replay oracle
+  /// mirrors exactly that incremental order.
   SessionPlan plan(const std::vector<ProcessId>& faulty) const;
 
   struct ApplyResult {
@@ -126,13 +111,11 @@ class RecoveryManager {
   const Stats& stats() const { return stats_; }
 
  private:
-  ckpt::Node& node_at(ProcessId p);
-
   sim::Simulator& simulator_;
   sim::Network& network_;
-  ccp::CcpRecorder& recorder_;
-  std::vector<ckpt::Node*> nodes_;  ///< empty when provider_ is set
-  NodeProvider provider_;           ///< null for the borrowed-pointer ctor
+  ccp::CcpRecorder& recorder_;  ///< kRGraph only: its line needs messages
+  std::size_t n_;
+  NodeProvider provider_;
   Config config_;
   Stats stats_;
 };

@@ -9,13 +9,10 @@ TargetedRollback::TargetedRollback(sim::Simulator& simulator,
                                    sim::Network& network,
                                    ccp::CcpRecorder& recorder,
                                    std::vector<ckpt::Node*> nodes)
-    : simulator_(simulator),
-      network_(network),
-      recorder_(recorder),
-      nodes_(std::move(nodes)) {
-  RDTGC_EXPECTS(!nodes_.empty());
-  RDTGC_EXPECTS(nodes_.size() == recorder_.process_count());
-}
+    : recorder_(recorder),
+      nodes_(nodes),
+      sessions_(simulator, network, recorder, std::move(nodes),
+                RecoveryManager::Config{}) {}
 
 std::optional<TargetedRollbackOutcome> TargetedRollback::rollback_to(
     const ccp::TargetSet& targets, TargetExtreme extreme) {
@@ -38,39 +35,17 @@ std::optional<TargetedRollbackOutcome> TargetedRollback::rollback_to(
   // The computed line can include stable checkpoints already collected as
   // obsolete (a *past* line is not a future recovery line).  Restarting
   // there is impossible; treat it like inconsistency and refuse.
+  SessionPlan plan;
+  plan.line = *line;
   for (std::size_t p = 0; p < n; ++p) {
-    const auto pid = static_cast<ProcessId>(p);
-    if ((*line)[p] <= recorder_.last_stable(pid) &&
-        !nodes_[p]->store().contains((*line)[p]))
+    const CheckpointIndex last = nodes_[p]->last_checkpoint_index();
+    if (plan.line[p] <= last && !nodes_[p]->store().contains(plan.line[p]))
       return std::nullopt;
+    plan.li.push_back(li_entry(plan.line[p], last));
   }
 
-  network_.pause();
-  network_.drop_in_flight();
-
-  TargetedRollbackOutcome outcome;
-  outcome.line = *line;
-  std::vector<IntervalIndex> li(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const CheckpointIndex last =
-        recorder_.last_stable(static_cast<ProcessId>(j));
-    li[j] = (*line)[j] <= last ? (*line)[j] + 1 : (*line)[j];
-  }
-  for (std::size_t p = 0; p < n; ++p) {
-    const CheckpointIndex last =
-        recorder_.last_stable(static_cast<ProcessId>(p));
-    if ((*line)[p] <= last) {
-      const std::uint64_t before = nodes_[p]->store().stats().discarded;
-      nodes_[p]->rollback_to((*line)[p], li);
-      outcome.checkpoints_discarded +=
-          nodes_[p]->store().stats().discarded - before;
-    } else {
-      nodes_[p]->peer_recovery(li);
-    }
-  }
-  network_.resume();
-  (void)simulator_;
-  return outcome;
+  const RecoveryOutcome outcome = sessions_.execute(plan);
+  return TargetedRollbackOutcome{outcome.line, outcome.checkpoints_discarded};
 }
 
 }  // namespace rdtgc::recovery

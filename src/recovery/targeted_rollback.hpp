@@ -9,9 +9,10 @@
 // software error was activated, rather than to the latest line.
 //
 // The target line is computed with Wang's max/min algorithms over the
-// recorded CCP (valid under RDT); the rollback itself reuses the
-// RecoveryManager machinery: freeze, drop in-transit messages, roll every
-// process to its line member, propagate LI, run Algorithm 3.
+// recorded CCP (valid under RDT); the rollback itself is a
+// RecoveryManager session over that line: freeze, drop in-transit
+// messages, roll every process to its line member, propagate LI, run
+// Algorithm 3.
 #pragma once
 
 #include <optional>
@@ -20,6 +21,7 @@
 #include "ccp/analysis.hpp"
 #include "ccp/recorder.hpp"
 #include "ckpt/node.hpp"
+#include "recovery/recovery_manager.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -48,10 +50,9 @@ class TargetedRollback {
       const ccp::TargetSet& targets, TargetExtreme extreme);
 
  private:
-  sim::Simulator& simulator_;
-  sim::Network& network_;
   ccp::CcpRecorder& recorder_;
   std::vector<ckpt::Node*> nodes_;
+  RecoveryManager sessions_;  ///< applies the line with LI propagated
 };
 
 }  // namespace rdtgc::recovery

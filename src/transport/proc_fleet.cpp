@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <utility>
 
+#include "recovery/lemma1.hpp"
 #include "util/check.hpp"
 
 namespace rdtgc::transport {
@@ -523,36 +524,21 @@ void ProcFleet::prune_delivered_after_attach(ProcessId p,
   });
 }
 
-void ProcFleet::compute_plan(const std::vector<bool>& faulty_mask,
-                             std::vector<CheckpointIndex>& line,
-                             std::vector<IntervalIndex>& li) const {
-  // Lemma 1 over the DV mirrors, Eq. 2 directly: c_f^last → c_i^k iff
-  // last_f < DV(c_i^k)[f].  Identical scan order to ccp::recovery_line_
-  // lemma1 — the replay oracle recomputes the line through the recorder and
-  // asserts it equal, so the mirror must track the recorder's rows exactly.
-  const std::size_t n = config_.process_count;
-  line.assign(n, 0);
-  li.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const DvMirror& mi = mirror_[i];
-    const CheckpointIndex last_i = mi.last();
-    CheckpointIndex k = last_i + 1;
-    for (; k > 0; --k) {
-      const std::vector<IntervalIndex>& dv =
-          k <= last_i ? mi.ckpt_dvs[static_cast<std::size_t>(k)] : mi.current;
-      bool excluded = false;
-      for (std::size_t f = 0; f < n && !excluded; ++f) {
-        if (!faulty_mask[f]) continue;
-        excluded = mirror_[f].last() < dv[f];
-      }
-      if (!excluded) break;
-    }
-    line[i] = k;
-    // LI[j] = last_s(j)+1 in the cut defined by the line: rolled-back
-    // processes restore s^{line[j]}, survivors keep their volatile state.
-    li[i] = k <= last_i ? k + 1 : k;
+struct ProcFleet::MirrorDvs {
+  const std::vector<DvMirror>& mirrors;
+
+  std::size_t size() const { return mirrors.size(); }
+  CheckpointIndex last(std::size_t p) const { return mirrors[p].last(); }
+  std::span<const IntervalIndex> volatile_dv(std::size_t p) const {
+    return mirrors[p].current;
   }
-}
+  template <typename Fn>
+  void newest_first(std::size_t p, Fn fn) const {
+    const std::vector<std::vector<IntervalIndex>>& rows = mirrors[p].ckpt_dvs;
+    for (std::size_t k = rows.size(); k-- > 0;)
+      if (fn(static_cast<CheckpointIndex>(k), rows[k])) return;
+  }
+};
 
 bool ProcFleet::run_recovery_session(std::vector<ProcessId> faulty) {
   // Compute the line on a quiescent cut: drain every pending delivery
@@ -563,20 +549,21 @@ bool ProcFleet::run_recovery_session(std::vector<ProcessId> faulty) {
   const std::uint64_t session = ++next_session_;
   std::uint32_t attempt = 0;
   std::vector<bool> faulty_mask(config_.process_count, false);
-  std::vector<CheckpointIndex> line;
-  std::vector<IntervalIndex> li;
+  recovery::SessionPlan plan;
   for (;;) {
     for (const ProcessId f : faulty)
       faulty_mask[static_cast<std::size_t>(f)] = true;
-    compute_plan(faulty_mask, line, li);
+    // Replay asserts this equals ccp::recovery_line_lemma1 (the mirrors
+    // track the recorder's rows exactly).
+    plan = recovery::lemma1_plan(faulty_mask, MirrorDvs{mirror_});
 
     Event e;
     e.kind = EventKind::kRecoveryStart;
     e.session = session;
     e.attempt = attempt;
     e.faulty = faulty;
-    e.li = li;
-    e.line = line;
+    e.li = plan.li;
+    e.line = plan.line;
     log_->append(e);
 
     // Test hook: withhold the broadcast from one worker, then kill it
@@ -591,8 +578,8 @@ bool ProcFleet::run_recovery_session(std::vector<ProcessId> faulty) {
     RecoveryStartBody body;
     body.session = session;
     body.attempt = attempt;
-    body.li = li;
-    body.line = line;
+    body.li = plan.li;
+    body.line = plan.line;
     const auto broadcast = [&](bool only_missing) {
       for (std::size_t q = 0; q < workers_.size(); ++q) {
         Worker& w = workers_[q];
@@ -659,8 +646,8 @@ bool ProcFleet::run_recovery_session(std::vector<ProcessId> faulty) {
   // rollbacks undid those sends and receives together (the line is
   // consistent, so a dead send's receive is dead too).
   std::erase_if(delivered_, [&](const DeliveredRec& r) {
-    return r.send_interval > line[static_cast<std::size_t>(r.src)] ||
-           r.recv_interval > line[static_cast<std::size_t>(r.dst)];
+    return r.send_interval > plan.line[static_cast<std::size_t>(r.src)] ||
+           r.recv_interval > plan.line[static_cast<std::size_t>(r.dst)];
   });
   return true;
 }

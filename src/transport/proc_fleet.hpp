@@ -114,7 +114,7 @@ class ProcFleet {
 
   const std::string& log_path() const { return log_path_; }
   /// Storage directory of process p (its mmap/log media — readable after
-  /// shutdown for recovery_line_from_storage certification).
+  /// shutdown, e.g. to plan a restart line over recovery::StoreDvs).
   std::string storage_dir(ProcessId p) const;
   /// Messages the parent dropped because their destination was dead.
   std::uint64_t dropped() const { return dropped_; }
@@ -173,9 +173,9 @@ class ProcFleet {
   /// Parent-side mirror of one worker's dependency-vector history: one row
   /// per stable checkpoint (dense by index, rows above the lineage position
   /// truncated at re-attach/rollback — exactly the recorder's row set) plus
-  /// the current volatile DV.  The mirror is what lets the parent compute
-  /// the Lemma-1 recovery line without a recorder: every update rides on a
-  /// frame it routes anyway.
+  /// the current volatile DV.  The mirrors are the DV source the parent
+  /// plans the Lemma-1 recovery line from (recovery/lemma1.hpp) without a
+  /// recorder: every update rides on a frame it routes anyway.
   struct DvMirror {
     std::vector<std::vector<IntervalIndex>> ckpt_dvs;
     std::vector<IntervalIndex> current;
@@ -183,6 +183,8 @@ class ProcFleet {
       return static_cast<CheckpointIndex>(ckpt_dvs.size()) - 1;
     }
   };
+  /// recovery::lemma1_plan's source over mirror_ (defined in the .cpp).
+  struct MirrorDvs;
 
   bool fail(const std::string& what);
   bool spawn(ProcessId p, std::uint32_t incarnation);
@@ -205,13 +207,6 @@ class ProcFleet {
   /// Quiesced SIGKILL + respawn + Hello, no session logic (the body the old
   /// kill_and_restart had; kill_and_restart layers orphan handling on top).
   bool quiesced_kill_respawn(ProcessId p);
-  /// Lemma 1 over the DV mirrors (Eq. 2 directly): per process the latest
-  /// general checkpoint (volatile included) not causally preceded by any
-  /// faulty process's last stable checkpoint; li[j] = line[j]+1 where j
-  /// rolls back a stable checkpoint, line[j] otherwise.
-  void compute_plan(const std::vector<bool>& faulty_mask,
-                    std::vector<CheckpointIndex>& line,
-                    std::vector<IntervalIndex>& li) const;
   /// Run the paper's recovery session over the wire: drain, plan, log,
   /// broadcast, barrier on acks (deadline-bounded re-broadcast), restarting
   /// with an accumulated faulty set when a kill lands mid-session.

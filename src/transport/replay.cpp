@@ -8,6 +8,8 @@
 #include <utility>
 
 #include "causality/dependency_vector.hpp"
+#include "ccp/analysis.hpp"
+#include "ccp/precedence.hpp"
 #include "recovery/recovery_manager.hpp"
 #include "util/check.hpp"
 
@@ -293,11 +295,13 @@ class Replayer {
   }
 
   /// A kRecoveryStart recomputes the session plan through the simulator's
-  /// RecoveryManager from the replayed recorder and certifies the Lemma-1
-  /// line and LI vector against what the fleet parent computed from its DV
-  /// mirrors.  A restarted session (second kill mid-session) logs a new
-  /// rstart with the accumulated faulty set: this replays against the
-  /// partially-applied recorder state, exactly as the parent recomputed it.
+  /// RecoveryManager from the replayed nodes and certifies the Lemma-1 line
+  /// and LI vector against what the fleet parent computed from its DV
+  /// mirrors, and the line against ccp::recovery_line_lemma1 (the manager
+  /// and the parent share recovery::lemma1_plan; the recorder oracle shares
+  /// no code with them).  A restarted session (second kill mid-session)
+  /// logs a new rstart with the accumulated faulty set: this replays
+  /// against the partially-applied state, exactly as the parent did.
   bool step_recovery_start(const Event& e) {
     if (!pending_.empty())
       return fail("recovery session started with messages in flight: the "
@@ -309,17 +313,24 @@ class Replayer {
       return fail("recovery start with malformed line/li vectors");
     plan_ = manager_->plan(e.faulty);
     has_plan_ = true;
+    const ccp::CcpRecorder& recorder = system_->recorder();
+    const std::vector<CheckpointIndex> oracle = ccp::recovery_line_lemma1(
+        recorder, ccp::DvPrecedence(recorder), plan_.faulty_mask);
     session_ = e.session;
     attempt_ = e.attempt;
+    const auto mismatch = [&](const char* what, std::size_t j,
+                              std::int32_t replay, std::int32_t other) {
+      return fail(std::string(what) + " mismatch at process " +
+                  std::to_string(j) + ": replay " + std::to_string(replay) +
+                  " != " + std::to_string(other));
+    };
     for (std::size_t j = 0; j < n; ++j) {
-      if (plan_.line[j] != static_cast<CheckpointIndex>(e.line[j]))
-        return fail("recovery line mismatch at process " + std::to_string(j) +
-                    ": replay " + std::to_string(plan_.line[j]) +
-                    " != logged " + std::to_string(e.line[j]));
+      if (plan_.line[j] != oracle[j])
+        return mismatch("recorder-oracle line", j, plan_.line[j], oracle[j]);
+      if (plan_.line[j] != e.line[j])
+        return mismatch("logged recovery line", j, plan_.line[j], e.line[j]);
       if (plan_.li[j] != e.li[j])
-        return fail("LI vector mismatch at process " + std::to_string(j) +
-                    ": replay " + std::to_string(plan_.li[j]) +
-                    " != logged " + std::to_string(e.li[j]));
+        return mismatch("logged LI vector", j, plan_.li[j], e.li[j]);
     }
     // The session repairs the orphan that triggered it; delivered pairs
     // rolled past the line leave the CCP on both sides.
@@ -394,7 +405,7 @@ class Replayer {
   std::unique_ptr<recovery::RecoveryManager> manager_;
   std::map<MsgKey, Pending> pending_;
   std::vector<Delivered> delivered_;
-  recovery::RecoveryManager::SessionPlan plan_;
+  recovery::SessionPlan plan_;
   bool has_plan_ = false;
   std::uint64_t session_ = 0;
   std::uint32_t attempt_ = 0;

@@ -16,7 +16,8 @@
 // (see transport/event_log.hpp).  Recovery sessions replay too: a
 // kRecoveryStart recomputes the Lemma-1 line and LI vector through the
 // simulator's RecoveryManager and asserts them equal to what the fleet
-// parent computed from its DV mirrors; each kRolledBack ack applies the
+// parent computed from its DV mirrors and to the recorder oracle
+// ccp::recovery_line_lemma1; each kRolledBack ack applies the
 // planned session to exactly that process and certifies the post-rollback
 // digest (last index, DV, stored-index set) — so partially-acked sessions
 // interrupted by a second kill replay naturally, ack by ack.  A log
@@ -26,8 +27,9 @@
 //
 // On success the result keeps the replay System alive so callers can run
 // the full oracle arsenal against it: the System recorder's analyses
-// (Theorem 1 / Lemma 1 / Corollary 1), recovery_line_from_storage over the replayed
-// media, and comparison against the REAL run's surviving media on disk.
+// (Theorem 1 / Lemma 1 / Corollary 1), the restart line over the replayed
+// media (recovery::StoreDvs), and comparison against the REAL run's
+// surviving media on disk.
 #pragma once
 
 #include <cstdint>

@@ -25,7 +25,7 @@
 #include "ckpt/sharded_checkpoint_store.hpp"
 #include "ckpt/storage_backend.hpp"
 #include "helpers.hpp"
-#include "recovery/recovery_manager.hpp"
+#include "recovery/lemma1.hpp"
 #include "util/check.hpp"
 #include "util/mapped_file.hpp"
 #include "util/rng.hpp"
@@ -368,9 +368,10 @@ void run_system_recovery(StorageBackendKind kind, bool clean) {
   // The restart-from-disk recovery line equals the Lemma-1 oracle line for
   // the all-faulty set, capped at the last stored checkpoint (no volatile
   // state survives a full restart).
-  const std::vector<CheckpointIndex> line =
-      recovery::recovery_line_from_storage(reopened_ptrs);
   std::vector<bool> all_faulty(spec.n, true);
+  const std::vector<CheckpointIndex> line =
+      recovery::lemma1_plan(all_faulty, recovery::StoreDvs{reopened_ptrs})
+          .line;
   const std::vector<CheckpointIndex> oracle =
       ccp::recovery_line_lemma1(system->recorder(), causal, all_faulty);
   for (std::size_t p = 0; p < spec.n; ++p) {
@@ -395,9 +396,9 @@ TEST(BackendRecovery, SystemRestartFromLogAfterUncleanStop) {
 
 // ---- Restart-from-disk edge cases -----------------------------------------
 //
-// recovery_line_from_storage() and the kAttach open path sit on the warm
-// restart critical path (ckpt::Node attach); the failure modes below must be
-// loud errors, never a silently empty line.
+// The restart line over recovery::StoreDvs and the kAttach open path sit on
+// the warm restart critical path (ckpt::Node attach); the failure modes below
+// must be loud errors, never a silently empty line.
 
 /// Attaching to a directory no store ever wrote: the media file is absent,
 /// so construction itself fails with an I/O error — there is nothing to
@@ -476,7 +477,7 @@ void attach_zero_survivors(StorageBackendKind kind) {
                                   config);
   EXPECT_EQ(reopened.recover(), 0u);
   const std::vector<const ShardedCheckpointStore*> stores = {&reopened};
-  EXPECT_THROW(recovery::recovery_line_from_storage(stores),
+  EXPECT_THROW(recovery::lemma1_plan({true}, recovery::StoreDvs{stores}),
                util::ContractViolation);
 }
 
@@ -490,7 +491,7 @@ TEST(BackendRecoveryEdge, ZeroSurvivingCheckpointsLog) {
 /// No stores at all is a caller bug, not an empty line.
 TEST(BackendRecoveryEdge, NoStoresRejected) {
   const std::vector<const ShardedCheckpointStore*> stores;
-  EXPECT_THROW(recovery::recovery_line_from_storage(stores),
+  EXPECT_THROW(recovery::lemma1_plan({}, recovery::StoreDvs{stores}),
                util::ContractViolation);
 }
 

@@ -8,12 +8,17 @@
 //  * flush error paths — an injected fsync/msync failure surfaces as
 //    util::IoError with mirror and medium still coherent;
 //  * compaction error path — the fsync of a log compaction's rewrite goes
-//    through the same seam, and its failure leaves the live log untouched.
+//    through the same seam, and its failure leaves the live log untouched
+//    and no path.tmp behind;
+//  * compaction durability — the flush() after a compaction fsyncs the log's
+//    directory too, and retries it when that fsync fails.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 
 #include "ckpt/checkpoint_store.hpp"
@@ -182,6 +187,11 @@ TEST(FlushErrors, LogCompactionFsyncFailureLeavesTheLiveLogUntouched) {
     EXPECT_THROW(log.collect(1), util::IoError);
     util::set_io_fsync_for_test(nullptr);
     reference.collect(1);
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
+        << "the failed rewrite was left behind";
+    // The collect was applied before the compaction threw: retrying it
+    // would be a contract violation, not a recovery.
+    EXPECT_FALSE(log.contains(1));
 
     struct stat after {};
     ASSERT_EQ(::stat(path.c_str(), &after), 0);
@@ -200,6 +210,92 @@ TEST(FlushErrors, LogCompactionFsyncFailureLeavesTheLiveLogUntouched) {
   reference.collect(2);
   EXPECT_EQ(reopened.compactions(), 1u);
   test::expect_stores_equal(reference, reopened);
+}
+
+/// Seam that counts every fsync, tells directory fsyncs apart, and fails
+/// the directory ones on demand.
+struct FsyncProbe {
+  static inline int calls = 0;
+  static inline int dir_calls = 0;
+  static inline bool fail_dir = false;
+
+  static int fsync(int fd) {
+    ++calls;
+    struct stat st {};
+    if (::fstat(fd, &st) == 0 && S_ISDIR(st.st_mode)) {
+      ++dir_calls;
+      if (fail_dir) {
+        errno = EIO;
+        return -1;
+      }
+    }
+    return ::fsync(fd);
+  }
+  static void reset() { calls = dir_calls = 0; }
+
+  FsyncProbe() {
+    reset();
+    fail_dir = false;
+    util::set_io_fsync_for_test(&FsyncProbe::fsync);
+  }
+  ~FsyncProbe() { util::set_io_fsync_for_test(nullptr); }
+};
+
+/// A compaction renames its rewrite over the log; the next flush() must make
+/// that rename durable by fsyncing the directory after the file, and a
+/// failed directory fsync must stay pending until a later flush() succeeds.
+TEST(FlushErrors, LogFlushAfterCompactionFsyncsTheDirectoryAndRetriesIt) {
+  ScratchDir dir("flush_dir");
+  StorageConfig config;
+  config.kind = StorageBackendKind::kLogStructured;
+  config.directory = dir.path();
+  LogStructuredBackend log(0, config.file(0), OpenMode::kFresh, 8, 0.5);
+  causality::DependencyVector dv(4);
+  for (CheckpointIndex g = 0; g < 6; ++g) {
+    dv.at(0) = g;
+    log.put(g, dv, g, 1);
+  }
+  log.collect(0);
+  log.flush();
+
+  FsyncProbe probe;
+  log.collect(1);  // 8 records, 4 live: compacts
+  ASSERT_EQ(log.compactions(), 1u);
+  EXPECT_EQ(FsyncProbe::calls, 1) << "the rewrite's fsync";
+  EXPECT_EQ(FsyncProbe::dir_calls, 0);
+
+  FsyncProbe::reset();
+  const std::uint64_t before = log.fsyncs();
+  log.flush();
+  EXPECT_EQ(FsyncProbe::calls, 2) << "one for the file, one for the directory";
+  EXPECT_EQ(FsyncProbe::dir_calls, 1);
+  EXPECT_EQ(log.fsyncs(), before + 2);
+  FsyncProbe::reset();
+  log.flush();  // nothing left to make durable
+  EXPECT_EQ(FsyncProbe::calls, 0);
+
+  // 4 live + 2 puts + 2 collects = 8 records, 4 live: compacts again.
+  for (CheckpointIndex g = 6; g < 8; ++g) {
+    dv.at(0) = g;
+    log.put(g, dv, g, 1);
+  }
+  log.collect(2);
+  log.collect(3);
+  ASSERT_EQ(log.compactions(), 2u);
+  FsyncProbe::fail_dir = true;
+  FsyncProbe::reset();
+  EXPECT_THROW(log.flush(), util::IoError);
+  EXPECT_EQ(FsyncProbe::calls, 2);
+  EXPECT_EQ(FsyncProbe::dir_calls, 1);
+
+  FsyncProbe::fail_dir = false;
+  FsyncProbe::reset();
+  log.flush();  // the file is clean; only the directory fsync is retried
+  EXPECT_EQ(FsyncProbe::calls, 1);
+  EXPECT_EQ(FsyncProbe::dir_calls, 1);
+  FsyncProbe::reset();
+  log.flush();
+  EXPECT_EQ(FsyncProbe::calls, 0);
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 // Recovery-session tests: the RecoveryManager end to end, Algorithm 3 in
 // both information models (LI and DV-only), peer recovery, failure
-// injection, and post-recovery invariants.
+// injection, post-recovery invariants, and the Lemma-1 planner over node
+// state and attached stores against the recorder oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "ccp/analysis.hpp"
@@ -11,6 +15,7 @@
 #include "harness/system.hpp"
 #include "helpers.hpp"
 #include "recovery/failure_injector.hpp"
+#include "recovery/lemma1.hpp"
 #include "recovery/recovery_manager.hpp"
 #include "util/check.hpp"
 #include "workload/workload.hpp"
@@ -440,6 +445,123 @@ TEST(FailureInjector, SystemStaysSaneUnderRandomFailures) {
   test::audit_bounds(*rig.system);
   test::audit_rdt(rig.system->recorder());
   test::audit_eq2(rig.system->recorder());
+}
+
+// ---- Lemma-1 planner vs the recorder oracle --------------------------------
+
+/// Every faulty set the property below plans for: all singletons, all
+/// pairs, and all processes.
+std::vector<std::vector<bool>> faulty_sets(std::size_t n) {
+  std::vector<std::vector<bool>> sets;
+  for (std::size_t a = 0; a < n; ++a) {
+    sets.emplace_back(n, false);
+    sets.back()[a] = true;
+    for (std::size_t b = a + 1; b < n; ++b) {
+      sets.emplace_back(n, false);
+      sets.back()[a] = sets.back()[b] = true;
+    }
+  }
+  sets.emplace_back(n, true);
+  return sets;
+}
+
+/// One point of a run: the line planned from node state equals
+/// ccp::recovery_line_lemma1 for every faulty set, and the line planned
+/// from the stores alone — reopened from the media when persistent —
+/// equals min(oracle(F = all), last stored index).
+void expect_lines_match_oracle(const harness::System& system,
+                               const ckpt::StorageConfig& storage,
+                               const std::string& where) {
+  const std::size_t n = system.process_count();
+  const ccp::CcpRecorder& recorder = system.recorder();
+  const ccp::DvPrecedence causal(recorder);
+  const std::vector<const ckpt::Node*> nodes = system.node_ptrs();
+  for (const std::vector<bool>& faulty : faulty_sets(n)) {
+    EXPECT_EQ(recovery::lemma1_plan(faulty, recovery::NodeDvs{nodes}).line,
+              ccp::recovery_line_lemma1(recorder, causal, faulty))
+        << where;
+  }
+
+  ckpt::StorageConfig attach = storage;
+  attach.open_mode = ckpt::OpenMode::kAttach;
+  std::vector<std::unique_ptr<ckpt::ShardedCheckpointStore>> reopened;
+  std::vector<const ckpt::ShardedCheckpointStore*> stores;
+  for (std::size_t p = 0; p < n; ++p) {
+    if (storage.kind == ckpt::StorageBackendKind::kInMemory) {
+      stores.push_back(&nodes[p]->store());
+      continue;
+    }
+    reopened.push_back(std::make_unique<ckpt::ShardedCheckpointStore>(
+        static_cast<ProcessId>(p),
+        ckpt::ShardedCheckpointStore::kDefaultShardCount,
+        ckpt::StoreConcurrency::kUnsynchronized, attach));
+    reopened.back()->recover();
+    stores.push_back(reopened.back().get());
+  }
+  const std::vector<bool> all(n, true);
+  const std::vector<CheckpointIndex> oracle =
+      ccp::recovery_line_lemma1(recorder, causal, all);
+  const std::vector<CheckpointIndex> line =
+      recovery::lemma1_plan(all, recovery::StoreDvs{stores}).line;
+  for (std::size_t p = 0; p < n; ++p)
+    EXPECT_EQ(line[p], std::min(oracle[p], stores[p]->last_index()))
+        << where << " p" << p;
+}
+
+// Theorem 1 says RDT-LGC never collects a recovery-line member, so the
+// planner's scan over stored checkpoints must agree with the recorder's scan
+// over the whole CCP — for every RDT protocol, with and without collection,
+// on every medium, before and after recovery sessions.
+TEST(Lemma1Line, NodeStateEqualsRecorderOracle) {
+  constexpr std::size_t kN = 4;
+  const ckpt::StorageBackendKind media[] = {
+      ckpt::StorageBackendKind::kInMemory, ckpt::StorageBackendKind::kMmapFile,
+      ckpt::StorageBackendKind::kLogStructured};
+  for (const ckpt::ProtocolKind protocol : ckpt::all_protocol_kinds()) {
+    if (!ckpt::make_protocol(protocol)->ensures_rdt()) continue;
+    for (const harness::GcChoice gc :
+         {harness::GcChoice::kRdtLgc, harness::GcChoice::kNone}) {
+      for (const ckpt::StorageBackendKind kind : media) {
+        for (const std::uint64_t seed : {3u, 8u, 21u}) {
+          const std::string where =
+              ckpt::protocol_kind_name(protocol) + "/" +
+              harness::gc_choice_name(gc) + "/" +
+              ckpt::backend_kind_name(kind) + "/seed " +
+              std::to_string(seed);
+          test::ScratchDir dir("lemma1");
+          harness::SystemConfig config;
+          config.process_count = kN;
+          config.protocol = protocol;
+          config.gc = gc;
+          config.seed = seed;
+          config.node.storage.kind = kind;
+          if (kind != ckpt::StorageBackendKind::kInMemory)
+            config.node.storage.directory = dir.path();
+          harness::System system(config);
+          workload::WorkloadConfig wl;
+          wl.seed = seed + 1;
+          workload::WorkloadDriver driver(system.simulator(),
+                                          system.node_ptrs(), wl);
+          recovery::RecoveryManager manager(
+              system.simulator(), system.network(), system.recorder(),
+              system.node_ptrs(), recovery::RecoveryManager::Config{});
+          driver.start(3000);
+          // Check, then fail a different process, at three points of the
+          // run: later points see post-rollback and peer-recovered state.
+          for (const SimTime t : {750u, 1500u, 2250u}) {
+            system.simulator().run_until(t);
+            expect_lines_match_oracle(system, config.node.storage,
+                                      where + " t=" + std::to_string(t));
+            manager.recover({static_cast<ProcessId>((t / 750 + seed) % kN)});
+          }
+          system.simulator().run();
+          expect_lines_match_oracle(system, config.node.storage,
+                                    where + " end");
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -40,7 +40,7 @@
 
 #include "ckpt/sharded_checkpoint_store.hpp"
 #include "helpers.hpp"
-#include "recovery/recovery_manager.hpp"
+#include "recovery/lemma1.hpp"
 #include "transport/event_log.hpp"
 #include "transport/proc_fleet.hpp"
 #include "transport/replay.hpp"
@@ -98,7 +98,9 @@ std::vector<CheckpointIndex> line_from_fleet_media(const ProcFleet& fleet,
     stores.back()->recover();
     ptrs.push_back(stores.back().get());
   }
-  return recovery::recovery_line_from_storage(ptrs);
+  return recovery::lemma1_plan(std::vector<bool>(n, true),
+                              recovery::StoreDvs{ptrs})
+      .line;
 }
 
 std::vector<CheckpointIndex> line_from_replay_system(
@@ -106,7 +108,9 @@ std::vector<CheckpointIndex> line_from_replay_system(
   std::vector<const ckpt::ShardedCheckpointStore*> ptrs;
   for (std::size_t p = 0; p < system.process_count(); ++p)
     ptrs.push_back(&system.node(static_cast<ProcessId>(p)).store());
-  return recovery::recovery_line_from_storage(ptrs);
+  return recovery::lemma1_plan(std::vector<bool>(ptrs.size(), true),
+                              recovery::StoreDvs{ptrs})
+      .line;
 }
 
 /// Orphan-gate skips across the whole binary: runs where the graph-based
