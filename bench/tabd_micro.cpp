@@ -6,8 +6,11 @@
 //    the stored checkpoints, versus O(n^2) for the linear scan;
 //  * the offline analyses (R-graph construction, Lemma-1 lines, Theorem-1
 //    characterization) scale with the recorded history;
-//  * the recorder's rollback does not: it costs O(undone events).
+//  * the recorder's rollback does not: it costs O(undone events);
+//  * the fleet's socket receive path costs the bytes it reads, not the
+//    kMaxFrameBytes bound of its buffer.
 #include <benchmark/benchmark.h>
+#include <sys/socket.h>
 
 #include <memory>
 #include <string>
@@ -31,6 +34,8 @@
 #include "recovery/recovery_manager.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "transport/uds.hpp"
+#include "transport/wire.hpp"
 #include "util/rng.hpp"
 #include "workload/workload.hpp"
 
@@ -657,6 +662,50 @@ BENCHMARK(BM_FleetRunner)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime();
+
+// One Data frame of Arg bytes (a DV wide enough to fill it) sent and
+// received over a SOCK_SEQPACKET socketpair: the per-frame socket cost of
+// the fleet, parent and worker alike.  The receive buffer is
+// kMaxFrameBytes, so a receive that touched all of it (a zero-fill) would
+// cost the same ~1 MiB of writes at every Arg.
+void BM_RecvFrame(benchmark::State& state) {
+  const auto frame_bytes = static_cast<std::size_t>(state.range(0));
+  // Header, send_interval, bytes, and the DV and control-word counts.
+  constexpr std::size_t kDataOverhead = transport::kWireHeaderBytes + 20;
+  transport::DataBody body;
+  body.send_interval = 7;
+  body.dv.assign((frame_bytes - kDataOverhead) / sizeof(IntervalIndex), 3);
+  transport::FrameMeta meta;
+  meta.src = 0;
+  meta.dst = 1;
+  transport::WireBuffer frame;
+  transport::encode_data(frame, meta, body);
+  if (frame.size() != frame_bytes) {
+    state.SkipWithError("frame size does not match Arg");
+    return;
+  }
+  int fds[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, fds) != 0) {
+    state.SkipWithError("socketpair failed");
+    return;
+  }
+  const transport::Fd tx(fds[0]);
+  const transport::Fd rx(fds[1]);
+  transport::RecvBuffer buf;
+  for (auto _ : state) {
+    if (!transport::send_frame(tx.get(), frame, 1000) ||
+        transport::recv_frame(rx.get(), buf, 1000) !=
+            transport::RecvStatus::kFrame) {
+      state.SkipWithError("socketpair round trip failed");
+      break;
+    }
+    benchmark::DoNotOptimize(buf.frame().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame_bytes));
+}
+BENCHMARK(BM_RecvFrame)->Arg(100)->Arg(4096);
 
 }  // namespace
 

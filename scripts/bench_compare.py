@@ -37,12 +37,13 @@ import sys
 # churn families (memory is the no-regression reference, mmap/log price
 # durability); BM_NodeAttach*/BM_ChurnRestart* are the warm-restart
 # families (Node attach-from-storage and the full kill/reopen/rejoin
-# cycle).
+# cycle); BM_RecvFrame is the fleet's socket receive path, which costs the
+# received bytes, not its 1 MiB buffer.
 TRACKED = re.compile(
     r"^(BM_DvMerge|BM_ReceivePath)\b"
     r"|^BM_Rollback|^BM_StoreChurn|^BM_Backend|^BM_FleetRunner"
     r"|^BM_NodeAttach|^BM_ChurnRestart"
-    r"|^BM_Protocol|^BM_SimDelivery")
+    r"|^BM_Protocol|^BM_SimDelivery|^BM_RecvFrame")
 
 
 def load(path):
@@ -131,7 +132,7 @@ def main():
               f"{args.threshold:.0f}% (families: BM_DvMerge, BM_ReceivePath, "
               "BM_NodeAttach*, BM_ChurnRestart*, "
               "BM_Rollback*, BM_StoreChurn*, BM_Backend*, BM_FleetRunner, "
-              "BM_Protocol*, BM_SimDelivery)")
+              "BM_Protocol*, BM_SimDelivery, BM_RecvFrame)")
 
     if args.history:
         record = {

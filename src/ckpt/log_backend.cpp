@@ -5,11 +5,10 @@
 
 #include <cerrno>
 #include <cstring>
-#include <filesystem>
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/mapped_file.hpp"  // util::IoError
+#include "util/mapped_file.hpp"  // util::IoError, util::fsync_parent_dir
 
 namespace rdtgc::ckpt {
 
@@ -105,6 +104,7 @@ LogStructuredBackend::LogStructuredBackend(ProcessId owner, std::string path,
   if (fd_ < 0) throw_errno("open", path_);
   if (mode == OpenMode::kFresh) {
     open_fresh();
+    dir_unsynced_ = true;  // the new directory entry, made durable by flush()
   } else {
     pending_recover_ = true;
   }
@@ -339,15 +339,10 @@ void LogStructuredBackend::flush() {
     dirty_ = false;
   }
   if (dir_unsynced_) {
-    // Without it an OS crash can bring the pre-compaction log back.  A
-    // failure leaves the flag set, so the next flush() retries.
-    const std::string dir =
-        std::filesystem::absolute(path_).parent_path().string();
-    const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dir_fd < 0) throw_errno("open", dir);
-    const int rc = util::io_fsync(dir_fd);
-    ::close(dir_fd);
-    if (rc != 0) throw_errno("fsync", dir);
+    // Without it an OS crash can lose a fresh log whole, or bring the
+    // pre-compaction log back.  A failure leaves the flag set, so the next
+    // flush() retries.
+    util::fsync_parent_dir(path_);
     ++fsyncs_;
     dir_unsynced_ = false;
   }

@@ -20,7 +20,8 @@
 // records are rewritten in ascending index order behind a fresh header into
 // `path.tmp`, fsync'd, and atomically renamed over the log — the truncation
 // step of a log-structured store.  The next flush() fsyncs the directory
-// too, so the rename survives an OS crash; a failed pass unlinks path.tmp
+// too, so the rename survives an OS crash (the first flush() after a kFresh
+// open does the same for the new file); a failed pass unlinks path.tmp
 // and leaves the live log as it was.  The GC drives compaction indirectly:
 // eliminations are what create dead records, so a collector that reclaims
 // more (RDT-LGC at the Theorem-1 optimum) also compacts the log harder.
@@ -86,10 +87,10 @@ class LogStructuredBackend final : public StorageBackend {
   const StoreStats& stats() const override { return mem_.stats(); }
 
   std::size_t recover() override;
-  /// fsync the log (the durability point), then its directory when a
-  /// compaction renamed a rewrite over it since.  A step with nothing to
-  /// make durable is skipped; a failed step stays pending for the next
-  /// flush().
+  /// fsync the log (the durability point), then its directory when the log
+  /// was created, or a compaction renamed a rewrite over it, since.  A step
+  /// with nothing to make durable is skipped; a failed step stays pending
+  /// for the next flush().
   void flush() override;
 
   // ---- Introspection (tests, benches) ----
@@ -133,7 +134,8 @@ class LogStructuredBackend final : public StorageBackend {
   bool pending_recover_ = false;
   /// Unsynced bytes reached the medium since the last successful flush().
   bool dirty_ = false;
-  /// A compaction's rename is not yet durable in the log's directory.
+  /// The log's directory entry (kFresh creation or a compaction's rename)
+  /// is not yet durable.
   bool dir_unsynced_ = false;
   std::vector<std::byte> scratch_;  ///< reusable record serialization buffer
 

@@ -80,6 +80,7 @@ MmapFileBackend::MmapFileBackend(ProcessId owner, std::string path,
     h->slot_capacity = initial_slots;
     h->slots_used = 0;
     medium_dirty_ = true;
+    dir_unsynced_ = true;  // the new directory entry, made durable by flush()
   } else {
     file_.open(path, util::MappedFile::Mode::kOpenExisting, 0);
     pending_recover_ = true;
@@ -276,20 +277,27 @@ std::size_t MmapFileBackend::recover() {
 }
 
 void MmapFileBackend::flush() {
-  // Dirty-flag skip: nothing changed since the last flush AND the segment
-  // is already marked clean — the msync would be a pure no-op.
-  if (!medium_dirty_ && header()->clean == 1) return;
-  header()->clean = 1;
-  try {
-    file_.sync();
-  } catch (...) {
-    // An msync failure must not leave a clean flag the medium never got:
-    // a subsequent crash-drop would then recover as "cleanly closed".
-    header()->clean = 0;
-    throw;
+  // Dirty-flag skip: when nothing changed since the last flush AND the
+  // segment is already marked clean, the msync would be a pure no-op.
+  if (medium_dirty_ || header()->clean != 1) {
+    header()->clean = 1;
+    try {
+      file_.sync();
+    } catch (...) {
+      // An msync failure must not leave a clean flag the medium never got:
+      // a subsequent crash-drop would then recover as "cleanly closed".
+      header()->clean = 0;
+      throw;
+    }
+    ++msyncs_;
+    medium_dirty_ = false;
   }
-  ++msyncs_;
-  medium_dirty_ = false;
+  if (dir_unsynced_) {
+    // Without it an OS crash can lose the fresh segment whole.  A failure
+    // leaves the flag set, so the next flush() retries.
+    util::fsync_parent_dir(file_.path());
+    dir_unsynced_ = false;
+  }
 }
 
 std::uint64_t MmapFileBackend::slots_used() const { return header()->slots_used; }

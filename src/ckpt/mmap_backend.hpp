@@ -97,8 +97,10 @@ class MmapFileBackend final : public StorageBackend {
   const StoreStats& stats() const override { return mem_.stats(); }
 
   std::size_t recover() override;
-  /// msync the segment and mark it cleanly closed.  Skipped entirely when
-  /// nothing changed since the last flush (the dirty flag; see msyncs()).
+  /// msync the segment and mark it cleanly closed, then, on the first
+  /// flush after a kFresh open, fsync its directory so the new file itself
+  /// survives an OS crash.  Each step is skipped when it has nothing to make
+  /// durable (the dirty flag; see msyncs()); a failed step stays pending.
   void flush() override;
 
   // ---- Introspection (tests, benches) ----
@@ -156,6 +158,8 @@ class MmapFileBackend final : public StorageBackend {
   bool recovered_clean_ = false;
   /// Mapped pages changed since the last successful msync.
   bool medium_dirty_ = false;
+  /// The kFresh segment's directory entry is not yet durable.
+  bool dir_unsynced_ = false;
 
   static constexpr std::uint32_t kWidthUnset = 0xffffffffu;
 };

@@ -121,7 +121,7 @@ bool ProcFleet::await_hello(ProcessId expected) {
   const RecvStatus status = recv_frame(fd.get(), in_, config_.step_timeout_ms);
   if (status != RecvStatus::kFrame)
     return fail("worker connected but sent no Hello");
-  const WireError err = decode_frame(in_, frame_);
+  const WireError err = decode_frame(in_.frame(), frame_);
   if (err != WireError::kOk)
     return fail(std::string("bad Hello frame: ") + wire_error_name(err));
   if (frame_.header.kind() != FrameKind::kHello)
@@ -166,26 +166,26 @@ bool ProcFleet::await_hello(ProcessId expected) {
 }
 
 bool ProcFleet::pump(int wait_ms) {
-  std::vector<pollfd> fds;
-  std::vector<ProcessId> owner;
+  poll_fds_.clear();
+  poll_owner_.clear();
   for (std::size_t p = 0; p < workers_.size(); ++p) {
     Worker& w = workers_[p];
     if (!w.alive) continue;
     short events = POLLIN;
     if (!out_[p].empty()) events |= POLLOUT;
-    fds.push_back(pollfd{w.fd.get(), events, 0});
-    owner.push_back(static_cast<ProcessId>(p));
+    poll_fds_.push_back(pollfd{w.fd.get(), events, 0});
+    poll_owner_.push_back(static_cast<ProcessId>(p));
   }
-  if (fds.empty()) return true;
-  int rc = ::poll(fds.data(), fds.size(), wait_ms);
+  if (poll_fds_.empty()) return true;
+  int rc = ::poll(poll_fds_.data(), poll_fds_.size(), wait_ms);
   if (rc < 0 && errno != EINTR) return fail("poll failed");
   if (rc <= 0) return true;
 
-  for (std::size_t i = 0; i < fds.size(); ++i) {
-    const ProcessId p = owner[i];
+  for (std::size_t i = 0; i < poll_fds_.size(); ++i) {
+    const ProcessId p = poll_owner_[i];
     Worker& w = workers_[static_cast<std::size_t>(p)];
     if (!w.alive) continue;  // killed while handling an earlier fd
-    if (fds[i].revents & POLLOUT) {
+    if (poll_fds_[i].revents & POLLOUT) {
       auto& queue = out_[static_cast<std::size_t>(p)];
       while (!queue.empty()) {
         const int sent = try_send_frame(w.fd.get(), queue.front());
@@ -194,10 +194,11 @@ bool ProcFleet::pump(int wait_ms) {
           if (!w.draining) return fail("worker socket died mid-write");
           break;
         }
+        spare_.push_back(std::move(queue.front()));
         queue.pop_front();
       }
     }
-    if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) {
+    if (poll_fds_[i].revents & (POLLIN | POLLHUP | POLLERR)) {
       for (;;) {
         const RecvStatus status = recv_frame(w.fd.get(), in_, 0);
         if (status == RecvStatus::kTimeout) break;
@@ -209,7 +210,7 @@ bool ProcFleet::pump(int wait_ms) {
           w.fd.reset();
           break;
         }
-        const WireError err = decode_frame(in_, frame_);
+        const WireError err = decode_frame(in_.frame(), frame_);
         if (err != WireError::kOk)
           return fail(std::string("bad frame from worker: ") +
                       wire_error_name(err));
@@ -375,10 +376,20 @@ void ProcFleet::route_data(const DecodedFrame& frame) {
   meta.dst = dst;
   meta.incarnation = e.src_incarnation;
   meta.seq = e.seq;
-  encode_data(scratch_, meta, frame.data);
-  out_[static_cast<std::size_t>(dst)].push_back(scratch_);
+  encode_data(next_out(dst), meta, frame.data);
   outstanding_[MsgKey{e.src, e.src_incarnation, e.seq}] =
       InFlight{dst, frame.data.send_interval};
+}
+
+WireBuffer& ProcFleet::next_out(ProcessId p) {
+  auto& queue = out_[static_cast<std::size_t>(p)];
+  if (spare_.empty()) {
+    queue.emplace_back();
+  } else {
+    queue.push_back(std::move(spare_.back()));
+    spare_.pop_back();
+  }
+  return queue.back();
 }
 
 bool ProcFleet::send_cmd(ProcessId p, CmdOp op, ProcessId target,
@@ -395,8 +406,7 @@ bool ProcFleet::send_cmd(ProcessId p, CmdOp op, ProcessId target,
   meta.dst = p;
   meta.incarnation = w.incarnation;
   meta.seq = cmd_seq;
-  encode_cmd(scratch_, meta, body);
-  out_[static_cast<std::size_t>(p)].push_back(scratch_);
+  encode_cmd(next_out(p), meta, body);
   return true;
 }
 
@@ -593,8 +603,8 @@ bool ProcFleet::run_recovery_session(std::vector<ProcessId> faulty) {
         meta.dst = static_cast<ProcessId>(q);
         meta.incarnation = w.incarnation;
         meta.seq = ++w.next_cmd_seq;
-        encode_recovery_start(scratch_, meta, body);
-        out_[q].push_back(scratch_);
+        encode_recovery_start(next_out(static_cast<ProcessId>(q)), meta,
+                              body);
       }
     };
     const auto acked = [&] {

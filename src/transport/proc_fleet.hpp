@@ -31,6 +31,8 @@
 // hanging CI, and the destructor SIGKILLs whatever is still alive.
 #pragma once
 
+#include <poll.h>
+
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -196,6 +198,9 @@ class ProcFleet {
   bool pump_until(Pred done, const char* what);
   bool handle_frame(ProcessId p, const DecodedFrame& frame);
   void route_data(const DecodedFrame& frame);
+  /// Append a frame slot to p's out-queue, recycled from spare_ when one is
+  /// free, and return it for the caller to encode into.
+  WireBuffer& next_out(ProcessId p);
   bool send_cmd(ProcessId p, CmdOp op, ProcessId target, std::uint64_t param,
                 std::uint64_t& cmd_seq);
   /// Send a command and pump until its CmdDone arrives.
@@ -222,6 +227,12 @@ class ProcFleet {
   std::vector<Worker> workers_;
   /// Per-worker parent->worker frame queues (drained non-blocking).
   std::vector<std::deque<WireBuffer>> out_;
+  /// Buffers of sent frames, reused by next_out() so the route path
+  /// allocates nothing once warm.
+  std::vector<WireBuffer> spare_;
+  /// pump()'s poll set and the process behind each entry, reused per call.
+  std::vector<pollfd> poll_fds_;
+  std::vector<ProcessId> poll_owner_;
   /// In-flight application messages: key -> routing state.
   std::map<MsgKey, InFlight> outstanding_;
   /// Completed deliveries with both endpoints still live.
@@ -229,8 +240,7 @@ class ProcFleet {
   /// Per-worker DV history mirror (indexed by process id).
   std::vector<DvMirror> mirror_;
   std::unique_ptr<EventLogWriter> log_;
-  WireBuffer in_;
-  WireBuffer scratch_;
+  RecvBuffer in_;
   DecodedFrame frame_;
   std::uint64_t dropped_ = 0;
   std::uint64_t recovery_sessions_ = 0;

@@ -86,21 +86,20 @@ Fd uds_accept(int listen_fd, int timeout_ms) {
   }
 }
 
-RecvStatus recv_frame(int fd, WireBuffer& buf, int timeout_ms) {
+RecvStatus recv_frame(int fd, RecvBuffer& buf, int timeout_ms) {
   pollfd pfd{fd, POLLIN, 0};
   for (;;) {
     const int rc = ::poll(&pfd, 1, timeout_ms);
     if (rc < 0 && errno == EINTR) continue;
     if (rc == 0) return RecvStatus::kTimeout;
     if (rc < 0) return RecvStatus::kError;
-    buf.resize(kMaxFrameBytes);  // capacity reused across calls
-    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
+    const ssize_t n = ::recv(fd, buf.bytes_.get(), kMaxFrameBytes, 0);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN) continue;
       return RecvStatus::kError;
     }
     if (n == 0) return RecvStatus::kClosed;
-    buf.resize(static_cast<std::size_t>(n));
+    buf.size_ = static_cast<std::size_t>(n);
     return RecvStatus::kFrame;
   }
 }

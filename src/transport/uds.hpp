@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <span>
 #include <string>
 
@@ -78,10 +79,32 @@ enum class RecvStatus : std::uint8_t {
   kError,    ///< socket error (a SIGKILLed peer surfaces here or as kClosed)
 };
 
+class RecvBuffer;
+
 /// Receive one datagram (<= kMaxFrameBytes) into `buf`, waiting at most
-/// `timeout_ms` (-1 = forever).  The buffer's capacity is reused across
-/// calls.
-RecvStatus recv_frame(int fd, WireBuffer& buf, int timeout_ms);
+/// `timeout_ms` (-1 = forever).  On kFrame, buf.frame() spans exactly the
+/// datagram's bytes.
+RecvStatus recv_frame(int fd, RecvBuffer& buf, int timeout_ms);
+
+/// The receive buffer of one socket owner: kMaxFrameBytes allocated once
+/// and never cleared.  recv_frame writes only the datagram it reads, and
+/// frame() spans only those bytes, so nothing stale past a shorter frame is
+/// ever visible; pages beyond the largest frame received stay untouched
+/// (and non-resident).
+class RecvBuffer {
+ public:
+  RecvBuffer()
+      : bytes_(std::make_unique_for_overwrite<std::uint8_t[]>(kMaxFrameBytes)) {}
+
+  /// The datagram of the last kFrame receive (empty before the first).
+  std::span<const std::uint8_t> frame() const { return {bytes_.get(), size_}; }
+
+ private:
+  friend RecvStatus recv_frame(int fd, RecvBuffer& buf, int timeout_ms);
+
+  std::unique_ptr<std::uint8_t[]> bytes_;
+  std::size_t size_ = 0;
+};
 
 /// Send one datagram, blocking (with poll) up to `timeout_ms` on
 /// backpressure.  False on error or deadline — the peer is gone or stuck.

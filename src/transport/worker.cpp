@@ -49,7 +49,8 @@ class Worker {
       if (status == RecvStatus::kTimeout) return kWorkerIdleTimeout;
       if (status == RecvStatus::kClosed || status == RecvStatus::kError)
         return kWorkerParentGone;
-      if (decode_frame(in_, frame) != WireError::kOk) return kWorkerBadFrame;
+      if (decode_frame(in_.frame(), frame) != WireError::kOk)
+        return kWorkerBadFrame;
       // Advance the logical clock one tick per processed frame — event
       // timestamps stay ordered for debugging, and no algorithm reads them.
       simulator_.run_until(simulator_.now() + 1);
@@ -229,7 +230,7 @@ class Worker {
   UdsTransport transport_;
   int fd_;
   std::unique_ptr<ckpt::Node> node_;
-  WireBuffer in_;
+  RecvBuffer in_;
   WireBuffer scratch_;
 };
 

@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include <atomic>
+#include <filesystem>
 
 namespace rdtgc::util {
 
@@ -34,6 +35,16 @@ int io_msync(void* addr, std::size_t length, int flags) {
 int io_fsync(int fd) {
   const auto fn = g_fsync_override.load(std::memory_order_acquire);
   return fn != nullptr ? fn(fd) : ::fsync(fd);
+}
+
+void fsync_parent_dir(const std::string& path) {
+  const std::string dir =
+      std::filesystem::absolute(path).parent_path().string();
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) throw_errno("open", dir);
+  const int rc = io_fsync(dir_fd);
+  ::close(dir_fd);
+  if (rc != 0) throw_errno("fsync", dir);
 }
 
 void set_io_msync_for_test(int (*fn)(void*, std::size_t, int)) {

@@ -47,6 +47,10 @@ int io_msync(void* addr, std::size_t length, int flags);
 /// fsync(2) via the installed override, or the real call when none is set.
 int io_fsync(int fd);
 
+/// fsync the directory holding `path` through io_fsync, making a new or
+/// renamed directory entry there durable.  Throws IoError.
+void fsync_parent_dir(const std::string& path);
+
 /// Install (or, with nullptr, remove) the msync/fsync overrides.  TEST
 /// SEAM ONLY — global, not thread-scoped; restore before the test returns.
 void set_io_msync_for_test(int (*fn)(void*, std::size_t, int));

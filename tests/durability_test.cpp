@@ -11,8 +11,12 @@
 //    through the same seam, and its failure leaves the live log untouched
 //    and no path.tmp behind;
 //  * compaction durability — the flush() after a compaction fsyncs the log's
-//    directory too, and retries it when that fsync fails.
+//    directory too, and retries it when that fsync fails;
+//  * creation durability — the first flush() of a fresh log or segment
+//    fsyncs its directory after the file, so the new medium itself
+//    survives an OS crash.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -96,6 +100,9 @@ TEST(FlushErrors, LogFsyncFailureSurfacesAsIoErrorAndKeepsStateCoherent) {
   const std::string path = config.file(0);
   {
     LogStructuredBackend log(0, path, OpenMode::kFresh, 64, 0.5);
+    // The first flush also makes the new file's directory entry durable;
+    // take it first, so the retry below has only the file left to sync.
+    log.flush();
     causality::DependencyVector dv(4);
     log.put(0, dv, 0, 1);
 
@@ -296,6 +303,91 @@ TEST(FlushErrors, LogFlushAfterCompactionFsyncsTheDirectoryAndRetriesIt) {
   FsyncProbe::reset();
   log.flush();
   EXPECT_EQ(FsyncProbe::calls, 0);
+}
+
+/// Seam that counts every msync.
+struct MsyncProbe {
+  static inline int calls = 0;
+
+  static int msync(void* addr, std::size_t length, int flags) {
+    ++calls;
+    return ::msync(addr, length, flags);
+  }
+
+  MsyncProbe() {
+    calls = 0;
+    util::set_io_msync_for_test(&MsyncProbe::msync);
+  }
+  ~MsyncProbe() { util::set_io_msync_for_test(nullptr); }
+};
+
+/// A fresh medium is a new directory entry: the first flush() syncs the
+/// file and then fsyncs its directory, later flushes sync only the file.
+TEST(FlushErrors, FreshMediumFirstFlushSyncsTheFileAndItsDirectory) {
+  ScratchDir dir("flush_fresh");
+  StorageConfig config;
+  config.directory = dir.path();
+  causality::DependencyVector dv(4);
+
+  config.kind = StorageBackendKind::kLogStructured;
+  LogStructuredBackend log(0, config.file(0), OpenMode::kFresh, 64, 0.5);
+  FsyncProbe fsyncs;
+  log.put(0, dv, 0, 1);
+  log.flush();
+  EXPECT_EQ(FsyncProbe::calls, 2) << "one for the file, one for the directory";
+  EXPECT_EQ(FsyncProbe::dir_calls, 1);
+  EXPECT_EQ(log.fsyncs(), 2u);
+  FsyncProbe::reset();
+  log.put(1, dv, 1, 1);
+  log.flush();
+  EXPECT_EQ(FsyncProbe::calls, 1);
+  EXPECT_EQ(FsyncProbe::dir_calls, 0);
+
+  config.kind = StorageBackendKind::kMmapFile;
+  MmapFileBackend mmap(0, config.file(0), OpenMode::kFresh, 4);
+  MsyncProbe msyncs;
+  FsyncProbe::reset();
+  mmap.put(0, dv, 0, 1);
+  mmap.flush();
+  EXPECT_EQ(MsyncProbe::calls, 1);
+  EXPECT_EQ(FsyncProbe::calls, 1);
+  EXPECT_EQ(FsyncProbe::dir_calls, 1);
+  MsyncProbe::calls = 0;
+  FsyncProbe::reset();
+  mmap.put(1, dv, 1, 1);
+  mmap.flush();
+  EXPECT_EQ(MsyncProbe::calls, 1);
+  EXPECT_EQ(FsyncProbe::calls, 0);
+}
+
+/// The segment's directory fsync is its own pending step: when it fails
+/// after a successful msync, the next flush() retries only the directory.
+TEST(FlushErrors, MmapFreshDirectoryFsyncFailureIsRetried) {
+  ScratchDir dir("flush_fresh_retry");
+  StorageConfig config;
+  config.kind = StorageBackendKind::kMmapFile;
+  config.directory = dir.path();
+  MmapFileBackend mmap(0, config.file(0), OpenMode::kFresh, 4);
+  causality::DependencyVector dv(4);
+  mmap.put(0, dv, 0, 1);
+
+  FsyncProbe fsyncs;
+  MsyncProbe msyncs;
+  FsyncProbe::fail_dir = true;
+  EXPECT_THROW(mmap.flush(), util::IoError);
+  EXPECT_EQ(MsyncProbe::calls, 1);
+  EXPECT_EQ(FsyncProbe::dir_calls, 1);
+
+  FsyncProbe::fail_dir = false;
+  MsyncProbe::calls = 0;
+  FsyncProbe::reset();
+  mmap.flush();
+  EXPECT_EQ(MsyncProbe::calls, 0);
+  EXPECT_EQ(FsyncProbe::dir_calls, 1);
+  FsyncProbe::reset();
+  mmap.flush();
+  EXPECT_EQ(FsyncProbe::calls, 0);
+  EXPECT_EQ(mmap.msyncs(), 1u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Wire-format property tests (ISSUE satellite: serialization hardening).
 //
-// Three layers:
+// Four layers:
 //  1. exact round-trips of every frame kind, including the edge vectors the
 //     fleet will actually produce (empty DV, single entry, kMaxWireProcesses
 //     entries, INT32_MAX / negative indices);
@@ -9,11 +9,16 @@
 //     documented WireError, never kOk and never UB (the CI ASan/UBSan leg
 //     runs this test under sanitizers);
 //  3. fuzz — random garbage buffers and random bit-flips of valid frames
-//     must decode without crashing.
+//     must decode without crashing;
+//  4. the socket receive path — recv_frame over a SEQPACKET socketpair
+//     yields exactly each datagram's bytes from a buffer that is never
+//     cleared, and decodes in place.
 //
 // The event-log line codec gets the same round-trip + malformed-line
 // treatment: it is the artifact a chaos failure leaves behind, so a parser
 // crash would destroy the evidence.
+#include <sys/socket.h>
+
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -23,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "transport/event_log.hpp"
+#include "transport/uds.hpp"
 #include "transport/wire.hpp"
 
 namespace rdtgc::transport {
@@ -734,6 +740,91 @@ TEST(EventLogLines, FuzzedLinesNeverCrash) {
     for (auto& c : line) c = static_cast<char>(ch(rng));
     (void)event_from_line(line, out);
   }
+}
+
+// ---- Socket receive path ---------------------------------------------------
+
+/// A connected SOCK_SEQPACKET pair: `tx` sends, `rx` receives.
+struct SeqPacketPair {
+  Fd tx;
+  Fd rx;
+  SeqPacketPair() {
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, fds), 0);
+    tx = Fd(fds[0]);
+    rx = Fd(fds[1]);
+  }
+};
+
+WireBuffer pattern_bytes(std::size_t n, std::uint8_t salt) {
+  WireBuffer bytes(n);
+  for (std::size_t i = 0; i < n; ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 7 + salt);
+  return bytes;
+}
+
+std::vector<std::uint8_t> received(const RecvBuffer& buf) {
+  return {buf.frame().begin(), buf.frame().end()};
+}
+
+TEST(Uds, RecvFrameSpansExactlyEachDatagramAfterALargerOne) {
+  SeqPacketPair pair;
+  ASSERT_TRUE(pair.tx.valid() && pair.rx.valid());
+  RecvBuffer buf;
+  EXPECT_TRUE(buf.frame().empty());
+  // Largest first: a buffer that is never cleared still holds its tail, so
+  // each shorter frame must come back with its own length, not a stale one.
+  for (const WireBuffer& sent :
+       {pattern_bytes(64 * 1024, 1), pattern_bytes(40, 2),
+        pattern_bytes(kWireHeaderBytes, 3)}) {
+    ASSERT_TRUE(send_frame(pair.tx.get(), sent, 1000));
+    ASSERT_EQ(recv_frame(pair.rx.get(), buf, 1000), RecvStatus::kFrame);
+    EXPECT_EQ(buf.frame().size(), sent.size());
+    EXPECT_EQ(received(buf), sent);
+  }
+}
+
+TEST(Uds, DecodeFromTheReceivedSpanRoundTripsADataFrame) {
+  SeqPacketPair pair;
+  ASSERT_TRUE(pair.tx.valid() && pair.rx.valid());
+  RecvBuffer buf;
+  const WireBuffer large = pattern_bytes(4096, 5);
+  ASSERT_TRUE(send_frame(pair.tx.get(), large, 1000));
+  ASSERT_EQ(recv_frame(pair.rx.get(), buf, 1000), RecvStatus::kFrame);
+
+  DataBody b;
+  b.send_interval = 11;
+  b.bytes = 1234;
+  b.dv = {3, 11, 0, 7};
+  b.control = {1, 2};
+  const FrameMeta m = meta(1, 2, 4, 99);
+  WireBuffer frame;
+  encode_data(frame, m, b);
+  ASSERT_LT(frame.size(), large.size());
+  ASSERT_TRUE(send_frame(pair.tx.get(), frame, 1000));
+  ASSERT_EQ(recv_frame(pair.rx.get(), buf, 1000), RecvStatus::kFrame);
+  DecodedFrame f;
+  ASSERT_EQ(decode_frame(buf.frame(), f), WireError::kOk);
+  expect_header(f, FrameKind::kData, m);
+  EXPECT_EQ(f.data.send_interval, b.send_interval);
+  EXPECT_EQ(f.data.bytes, b.bytes);
+  EXPECT_EQ(f.data.dv, b.dv);
+  EXPECT_EQ(f.data.control, b.control);
+}
+
+TEST(Uds, EmptySocketWithZeroTimeoutReportsTimeout) {
+  SeqPacketPair pair;
+  ASSERT_TRUE(pair.tx.valid() && pair.rx.valid());
+  RecvBuffer buf;
+  EXPECT_EQ(recv_frame(pair.rx.get(), buf, 0), RecvStatus::kTimeout);
+}
+
+TEST(Uds, ClosedPeerReportsClosed) {
+  SeqPacketPair pair;
+  ASSERT_TRUE(pair.tx.valid() && pair.rx.valid());
+  pair.tx.reset();
+  RecvBuffer buf;
+  EXPECT_EQ(recv_frame(pair.rx.get(), buf, 1000), RecvStatus::kClosed);
 }
 
 }  // namespace
